@@ -39,7 +39,6 @@ from repro.baselines import (
     SampledBTree,
 )
 from repro.bench import format_table, time_batch_per_query_ns, time_per_query_ns
-from repro.kernels import NUMBA_AVAILABLE, runtime_info
 from repro.queries import queries_to_bounds
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_batch_throughput.json"
@@ -182,9 +181,7 @@ def run_benchmark_2d_extreme(
     answers the whole batch through the dyadic x-rank decomposition in
     O(log^2 n) NumPy passes.  MAX over a point subset is the same float
     whatever the evaluation order, so the paths must agree *exactly*
-    (``array_equal`` with ``equal_nan`` — no tolerance).  When numba is
-    importable the compiled x-window scan kernel is measured as a third
-    column under the same exact-equality gate.
+    (``array_equal`` with ``equal_nan`` — no tolerance).
     """
     rng = np.random.default_rng(271)
     measures = rng.uniform(0.0, 100.0, xs.size)
@@ -227,74 +224,15 @@ def run_benchmark_2d_extreme(
             ),
             "scalar_measured_on": cap,
         }
-        if NUMBA_AVAILABLE:
-            compiled = time_batch_per_query_ns(
-                lambda: directory.range_extreme_batch(*bounds, kernel="numba"),
-                num_queries, repeats=2, method="extreme-numba",
-            )
-            compiled_values = directory.range_extreme_batch(*bounds, kernel="numba")
-            compiled_qps = 1e9 / compiled.per_query_ns
-            entry["numba_qps"] = round(compiled_qps)
-            entry["numba_speedup"] = round(compiled_qps / scalar_qps, 2)
-            entry["numba_identical"] = bool(
-                np.array_equal(vector_values, compiled_values, equal_nan=True)
-            )
         results["workloads"][str(num_queries)] = entry
     return results
 
 
-def run_benchmark_fused(keys: np.ndarray, workload_sizes=WORKLOAD_SIZES) -> dict:
-    """Fused-kernel section: the 1-D NumPy multi-pass path vs the compiled pass.
+def check_gates(extreme: dict) -> list[str]:
+    """Acceptance gates over the 2-D extreme section; returns failure messages.
 
-    Without numba the section still records the NumPy-path throughput (and
-    the runtime flags say why the numba columns are absent), so artifacts
-    from numba-less environments remain comparable.
-    """
-    index = PolyFitIndex.build(
-        keys, aggregate=Aggregate.COUNT, guarantee=Guarantee.absolute(100.0)
-    )
-    guarantee = Guarantee.relative(0.05)
-    results: dict = {
-        "description": "1-D query_batch: numpy multi-pass vs fused numba kernel",
-        "dataset_size": int(keys.size),
-        "workloads": {},
-    }
-    for num_queries in workload_sizes:
-        queries = generate_range_queries(keys, num_queries, Aggregate.COUNT, seed=271)
-        bounds = queries_to_bounds(queries)
-        index.set_kernel("numpy")
-        numpy_timing = time_batch_per_query_ns(
-            lambda: index.query_batch(*bounds, guarantee),
-            num_queries, repeats=2, method="fused-numpy",
-        )
-        numpy_values = index.query_batch(*bounds, guarantee).values
-        numpy_qps = 1e9 / numpy_timing.per_query_ns
-        entry = {"numpy_qps": round(numpy_qps)}
-        if NUMBA_AVAILABLE:
-            index.set_kernel("numba")
-            numba_timing = time_batch_per_query_ns(
-                lambda: index.query_batch(*bounds, guarantee),
-                num_queries, repeats=2, method="fused-numba",
-            )
-            numba_values = index.query_batch(*bounds, guarantee).values
-            numba_qps = 1e9 / numba_timing.per_query_ns
-            entry["numba_qps"] = round(numba_qps)
-            entry["speedup"] = round(numba_qps / numpy_qps, 2)
-            entry["identical"] = bool(
-                np.array_equal(numpy_values, numba_values, equal_nan=True)
-            )
-            index.set_kernel("auto")
-        results["workloads"][str(num_queries)] = entry
-    return results
-
-
-def check_gates(extreme: dict, fused: dict) -> list[str]:
-    """Acceptance gates over the kernel sections; returns failure messages.
-
-    * vectorized 2-D extremes: >= 20x over the scalar oracle at the largest
-      workload, exactly equal on the oracle subsample;
-    * every numba column (enforced only where numba is importable): exactly
-      equal to its NumPy counterpart.
+    Vectorized 2-D extremes must run >= 20x over the scalar oracle at the
+    largest workload and equal it exactly on the oracle subsample.
     """
     failures = []
     largest = str(WORKLOAD_SIZES[-1])
@@ -305,12 +243,6 @@ def check_gates(extreme: dict, fused: dict) -> list[str]:
         failures.append(
             f"2-D extreme speedup {entry['speedup']}x below the 20x gate"
         )
-    for section in (extreme, fused):
-        for size, values in section["workloads"].items():
-            if "numba_identical" in values and not values["numba_identical"]:
-                failures.append(f"numba extreme kernel diverges at {size} queries")
-            if "identical" in values and section is fused and not values["identical"]:
-                failures.append(f"fused numba kernel diverges at {size} queries")
     return failures
 
 
@@ -347,53 +279,26 @@ def _print_extreme_results(extreme: dict) -> None:
                 entry["scalar_qps"],
                 entry["vectorized_qps"],
                 f"{entry['speedup']}x",
-                entry.get("numba_qps", "-"),
                 "yes" if entry["identical"] else "NO",
             ]
         )
     print()
     print(
         format_table(
-            ["queries", "scalar q/s", "vectorized q/s", "speedup", "numba q/s", "identical"],
+            ["queries", "scalar q/s", "vectorized q/s", "speedup", "identical"],
             rows,
             title="Rectangle MAX: scalar oracle vs vectorized extreme tree",
         )
     )
 
 
-def _print_fused_results(fused: dict) -> None:
-    rows = []
-    for size, entry in fused["workloads"].items():
-        rows.append(
-            [
-                size,
-                entry["numpy_qps"],
-                entry.get("numba_qps", "-"),
-                f"{entry['speedup']}x" if "speedup" in entry else "-",
-                "yes" if entry.get("identical") else ("NO" if "identical" in entry else "-"),
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["queries", "numpy q/s", "numba q/s", "speedup", "identical"],
-            rows,
-            title="Fused 1-D kernel: numpy multi-pass vs compiled pass",
-        )
-    )
-
-
-def _write_artifact(
-    one_key: dict, two_key: dict, two_key_extreme: dict, fused: dict
-) -> None:
+def _write_artifact(one_key: dict, two_key: dict, two_key_extreme: dict) -> None:
     ARTIFACT_PATH.write_text(
         json.dumps(
             {
                 **one_key,
                 "two_key": two_key,
                 "two_key_extreme": two_key_extreme,
-                "fused_kernel": fused,
-                "kernel_runtime": runtime_info(),
             },
             indent=2,
         )
@@ -412,9 +317,7 @@ def test_batch_throughput(tweet_data, osm_data):
     _print_results(results_2d, label="Batch throughput (two keys)")
     results_extreme = run_benchmark_2d_extreme(xs, ys)
     _print_extreme_results(results_extreme)
-    results_fused = run_benchmark_fused(keys)
-    _print_fused_results(results_fused)
-    _write_artifact(results, results_2d, results_extreme, results_fused)
+    _write_artifact(results, results_2d, results_extreme)
 
     for section in (results, results_2d):
         for name, sizes in section["methods"].items():
@@ -429,7 +332,7 @@ def test_batch_throughput(tweet_data, osm_data):
         f"expected >= 10x 2-D batch speedup over the per-corner descent, "
         f"got {polyfit2d_100k['speedup']}x"
     )
-    failures = check_gates(results_extreme, results_fused)
+    failures = check_gates(results_extreme)
     assert not failures, "; ".join(failures)
 
 
@@ -446,14 +349,10 @@ if __name__ == "__main__":
     _print_results(bench_results_2d, label="Batch throughput (two keys)")
     bench_results_extreme = run_benchmark_2d_extreme(points_x, points_y)
     _print_extreme_results(bench_results_extreme)
-    bench_results_fused = run_benchmark_fused(dataset_keys)
-    _print_fused_results(bench_results_fused)
-    _write_artifact(
-        bench_results, bench_results_2d, bench_results_extreme, bench_results_fused
-    )
-    gate_failures = check_gates(bench_results_extreme, bench_results_fused)
+    _write_artifact(bench_results, bench_results_2d, bench_results_extreme)
+    gate_failures = check_gates(bench_results_extreme)
     if gate_failures:
         for failure in gate_failures:
             print(f"GATE FAILED: {failure}", file=sys.stderr)
         sys.exit(1)
-    print("all kernel gates passed")
+    print("all gates passed")

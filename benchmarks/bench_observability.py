@@ -293,9 +293,6 @@ def _print_results(results: dict) -> None:
 
 
 def _write_artifact(results: dict) -> None:
-    from repro.kernels import runtime_info
-
-    results = {**results, "kernel_runtime": runtime_info()}
     ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\nartifact written to {ARTIFACT_PATH}")
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..config import Aggregate
 from ..errors import DataError, QueryError
+from ..functions.cumulative import prefix_at
 
 __all__ = ["KeyCumulativeArray", "BruteForceAggregator", "PrefixSumGrid2D"]
 
@@ -90,8 +91,8 @@ class KeyCumulativeArray:
 
     def evaluate_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`evaluate` (one ``searchsorted`` for all keys)."""
-        padded = np.concatenate(([0.0], self.cumulative))
-        return padded[np.searchsorted(self.keys, np.asarray(keys, dtype=np.float64), side="right")]
+        idx = np.searchsorted(self.keys, np.asarray(keys, dtype=np.float64), side="right")
+        return prefix_at(self.cumulative, idx)
 
     def range_aggregate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`range_aggregate` over N ranges in O(1) NumPy calls."""
@@ -101,11 +102,10 @@ class KeyCumulativeArray:
             raise QueryError("lows and highs must have matching shapes")
         if np.any(highs < lows):
             raise QueryError("invalid range: high < low")
-        padded = np.concatenate(([0.0], self.cumulative))
         # Empty ranges have identical insertion points on both sides, so the
         # difference is exactly 0 — no special-casing needed.
-        upper = padded[np.searchsorted(self.keys, highs, side="right")]
-        lower = padded[np.searchsorted(self.keys, lows, side="left")]
+        upper = prefix_at(self.cumulative, np.searchsorted(self.keys, highs, side="right"))
+        lower = prefix_at(self.cumulative, np.searchsorted(self.keys, lows, side="left"))
         return upper - lower
 
     def size_in_bytes(self) -> int:

@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="version-keyed result cache entries (0 = off)")
     serve.add_argument("--num-shards", type=int, default=1,
                        help="fan batches out over this many shards")
-    serve.add_argument("--kernel", choices=["auto", "numba", "numpy"],
-                       default="auto", help="batch kernel backend")
     serve.add_argument("--failure-policy", choices=["fail_fast", "degrade"],
                        default="fail_fast",
                        help="fleet partition failures: fail the query or "
@@ -546,7 +544,6 @@ def build_serve_server(args: argparse.Namespace):
     host = EngineHost(
         index,
         cache_size=args.cache_size,
-        kernel=args.kernel,
         num_shards=args.num_shards,
         instrument=instrument,
     )

@@ -344,12 +344,6 @@ class IndexFleet:
         """Estimated total in-memory footprint of all partitions."""
         return sum(partition.size_in_bytes() for partition in self._partitions)
 
-    def set_kernel(self, kernel: str) -> None:
-        """Select the batch-kernel backend on every partition base index."""
-        for partition in self._partitions:
-            if partition.index is not None:
-                partition.index.base.set_kernel(kernel)
-
     def stats(self) -> dict[str, Any]:
         """JSON-friendly fleet description (``fleet-stats`` / ``/stats``)."""
         return {

@@ -15,7 +15,16 @@ import numpy as np
 from ..config import Aggregate
 from ..errors import DataError, QueryError
 
-__all__ = ["CumulativeFunction", "build_cumulative_function"]
+__all__ = ["CumulativeFunction", "build_cumulative_function", "prefix_at"]
+
+
+def prefix_at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``values[idx - 1]``, or 0.0 where ``idx == 0`` (the empty prefix).
+
+    Reads a prefix-sum array at ``searchsorted`` insertion points without
+    materializing a zero-padded copy of it on every call.
+    """
+    return np.where(idx > 0, values[idx - 1], 0.0)
 
 
 def _validate_key_measure(keys: np.ndarray, measures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +86,7 @@ class CumulativeFunction:
         """
         k_arr = np.asarray(k, dtype=np.float64)
         idx = np.searchsorted(self.keys, k_arr, side="right")
-        padded = np.concatenate(([0.0], self.values))
-        result = padded[idx]
+        result = prefix_at(self.values, idx)
         if np.isscalar(k) or k_arr.ndim == 0:
             return float(result)
         return result
@@ -107,9 +115,8 @@ class CumulativeFunction:
             raise QueryError("lows and highs must have matching shapes")
         if np.any(highs < lows):
             raise QueryError("invalid range: high < low")
-        padded = np.concatenate(([0.0], self.values))
-        upper = padded[np.searchsorted(self.keys, highs, side="right")]
-        lower = padded[np.searchsorted(self.keys, lows, side="left")]
+        upper = prefix_at(self.values, np.searchsorted(self.keys, highs, side="right"))
+        lower = prefix_at(self.values, np.searchsorted(self.keys, lows, side="left"))
         return upper - lower
 
     def slice_points(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:

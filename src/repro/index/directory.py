@@ -497,7 +497,6 @@ class QuadDirectory(CellDirectory):
         y_highs: np.ndarray,
         *,
         force_scalar: bool = False,
-        kernel: str = "numpy",
     ) -> np.ndarray:
         """Exact rectangle MAX/MIN for N rectangles — fully vectorized.
 
@@ -509,10 +508,7 @@ class QuadDirectory(CellDirectory):
         MAX/MIN over the same point subset is the same float whatever the
         cover, so answers are bit-identical to :meth:`range_extreme`
         (including NaN for empty rectangles).  ``force_scalar=True`` keeps
-        the per-query oracle loop reachable for pinning tests and benches;
-        ``kernel="numba"`` routes through the compiled scan kernel instead
-        of the level tables (same floats, see
-        :meth:`QuadLeafExtremes.range_extreme_batch`).
+        the per-query oracle loop reachable for pinning tests and benches.
         """
         x_lows = np.atleast_1d(np.asarray(x_lows, dtype=np.float64))
         x_highs = np.atleast_1d(np.asarray(x_highs, dtype=np.float64))
@@ -529,9 +525,7 @@ class QuadDirectory(CellDirectory):
             for i, bounds in enumerate(zip(x_lows, x_highs, y_lows, y_highs)):
                 out[i] = self.range_extreme(*bounds)
             return out
-        return self.point_extremes.range_extreme_batch(
-            x_lows, x_highs, y_lows, y_highs, kernel=kernel
-        )
+        return self.point_extremes.range_extreme_batch(x_lows, x_highs, y_lows, y_highs)
 
     def size_in_bytes(self) -> int:
         """Footprint of the flat directory (8 bytes per stored float).
@@ -636,33 +630,15 @@ class QuadLeafExtremes:
         x_highs: np.ndarray,
         y_lows: np.ndarray,
         y_highs: np.ndarray,
-        *,
-        kernel: str = "numpy",
     ) -> np.ndarray:
         """Vectorized rectangle extremes over the payload's point set.
 
         Lazily builds the :class:`RectangleExtremeTree` (so scalar-only use
-        pays nothing) and reuses it across calls.  ``kernel="numba"`` runs
-        the compiled x-window scan kernel over the tree's sorted point
-        arrays instead of the level tables; extremes over the same point
-        subset are the same float either way, so the backends are
-        bit-identical (``"auto"`` resolves via the package-wide rule).
+        pays nothing) and reuses it across calls.
         """
         if self._tree is None:
             self._tree = RectangleExtremeTree(
                 self.xs, self.ys, self.measures, self.maximize
-            )
-        if kernel != "numpy":
-            from ..kernels import resolve_kernel
-
-            kernel = resolve_kernel(kernel)
-        if kernel == "numba":
-            from ..kernels import fused2d
-
-            xs, ys, measures = self._tree.point_arrays()
-            return fused2d.run_rectangle_extreme(
-                xs, ys, measures, self.maximize,
-                x_lows, x_highs, y_lows, y_highs,
             )
         return self._tree.query(x_lows, x_highs, y_lows, y_highs)
 
@@ -941,17 +917,6 @@ class RectangleExtremeTree:
             values[nonempty] = table.query(lo_pos[nonempty], hi_pos[nonempty] - 1)
         return values
 
-    def point_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The x-sorted ``(xs, ys, measures)`` triple (padding stripped).
-
-        The compiled scan kernel consumes these directly: any backend
-        selecting the extreme over the same x-window / y-filter subset
-        returns the same float, so sharing the sorted arrays keeps every
-        backend pinned to one point order.
-        """
-        n = self._xs.size
-        return self._xs, self._ys_padded[:n], self._measures_padded[:n]
-
     def size_in_bytes(self) -> int:
         """Footprint of the level stack plus the x-sorted point arrays."""
         total = self._xs.nbytes + self._ys_padded.nbytes + self._measures_padded.nbytes
@@ -1180,10 +1145,6 @@ class SegmentExtremeDirectory:
             self.prefix[start:stop] = accumulate(window)
             self.suffix[start:stop] = accumulate(window[::-1])[::-1]
         self.segment_extremes = np.ascontiguousarray(segment_extremes, dtype=np.float64)
-        # The raw per-sample polynomial values, kept alongside the tables so
-        # the fused scalar kernels can serve single-segment windows from the
-        # same operands the table path reduces over.
-        self.poly_values = poly_values
         self._interior = RangeExtremeTable(self.segment_extremes, maximize)
         self._values = RangeExtremeTable(poly_values, maximize)
 

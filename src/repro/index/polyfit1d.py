@@ -35,7 +35,6 @@ from ..errors import DataError, GuaranteeNotSatisfiedError, NotSupportedError, Q
 from ..fitting.segmentation import Segment, greedy_segmentation
 from ..functions.cumulative import CumulativeFunction, build_cumulative_function
 from ..functions.key_measure import KeyMeasureFunction, build_key_measure_function
-from ..kernels import fused1d, resolve_kernel
 from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
 from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
 from ..config import GuaranteeKind
@@ -80,7 +79,6 @@ class PolyFitIndex:
         self._segment_extreme_tree = segment_extreme_tree
         self._exact_fallback = exact_fallback
         self._config = config
-        self._kernel_choice = "auto"
         # The certified bound depends only on construction-time quantities;
         # computing it once here keeps it off the per-query hot path.
         self._certified_bound = certified_absolute_bound(self._delta, aggregate, num_keys=1)
@@ -257,23 +255,6 @@ class PolyFitIndex:
         """Polynomial degree of the segments."""
         return self._config.fit.degree
 
-    @property
-    def kernel(self) -> str:
-        """Resolved batch-kernel backend: ``"numba"`` or ``"numpy"``."""
-        return resolve_kernel(self._kernel_choice)
-
-    def set_kernel(self, choice: str) -> None:
-        """Select the batch-kernel backend (``"auto"``/``"numba"``/``"numpy"``).
-
-        ``"numba"`` routes batch estimates and relative-certificate queries
-        through the fused compiled kernels of :mod:`repro.kernels`;
-        ``"numpy"`` pins the multi-pass vectorized path (the pinnable
-        oracle); ``"auto"`` (the default) picks numba when importable.
-        Scalar queries always use the NumPy/scalar path.
-        """
-        resolve_kernel(choice)  # validate eagerly, including availability
-        self._kernel_choice = choice
-
     def size_in_bytes(self) -> int:
         """Approximate in-memory footprint of the *index payload*.
 
@@ -367,18 +348,6 @@ class PolyFitIndex:
 
     def _estimate_batch_validated(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Dispatch already-validated bound arrays to the batch evaluators."""
-        if self.kernel == "numba":
-            return self._fused_batch(lows, highs, np.inf)[0]
-        return self._estimate_batch_validated_numpy(lows, highs)
-
-    def _estimate_batch_validated_numpy(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> np.ndarray:
-        """The multi-pass NumPy batch path, regardless of the kernel knob.
-
-        This is the pinnable oracle the kernel bit-identity tests compare
-        against.
-        """
         if self._aggregate.is_cumulative:
             return self._approximate_cumulative_batch(lows, highs)
         return self._approximate_extreme_batch(lows, highs)
@@ -388,52 +357,6 @@ class PolyFitIndex:
         function = self._cumulative if self._aggregate.is_cumulative else self._key_measure
         assert function is not None
         return float(function.keys[0]), float(function.keys[-1])
-
-    def _fused_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        threshold: float,
-        *,
-        compiled: bool | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Answer a validated batch through the fused compiled kernels.
-
-        Returns ``(values, certified)`` where ``certified`` is the Lemma 3/5
-        relative certificate against ``threshold`` computed inside the same
-        pass (all-False for the infinite threshold estimate-only callers
-        pass).  Bit-identical to the multi-pass NumPy path by construction —
-        the kernels replicate its floating-point operations one for one.
-        """
-        if self._aggregate.is_cumulative:
-            assert self._cumulative is not None
-            bank = self._directory.bank
-            return fused1d.run_cumulative(
-                self._cumulative.keys,
-                self._directory.keys,
-                bank.coeffs,
-                bank.shifts,
-                bank.scales,
-                lows,
-                highs,
-                threshold,
-                compiled=compiled,
-            )
-        assert self._key_measure is not None
-        extremes = self._extremes()
-        return fused1d.run_extreme(
-            self._key_measure.keys,
-            self._directory.keys,
-            extremes.prefix,
-            extremes.suffix,
-            extremes.segment_extremes,
-            extremes.poly_values,
-            extremes.maximize,
-            lows,
-            highs,
-            threshold,
-            compiled=compiled,
-        )
 
     def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Exact answers for N ranges via the fallback structures."""
@@ -458,18 +381,7 @@ class PolyFitIndex:
         exact-fallback pass.  Queries inherit the index's aggregate.
         """
         lows, highs = validate_bounds_batch(lows, highs)
-        certified = None
-        if (
-            guarantee is not None
-            and guarantee.kind is not GuaranteeKind.ABSOLUTE
-            and self.kernel == "numba"
-        ):
-            # Fuse the Lemma 3/5 certificate into the same compiled pass;
-            # the threshold expression matches resolve_batch_certificates.
-            threshold = self._certified_bound * (1.0 + 1.0 / guarantee.epsilon)
-            approx, certified = self._fused_batch(lows, highs, threshold)
-        else:
-            approx = self._estimate_batch_validated(lows, highs)
+        approx = self._estimate_batch_validated(lows, highs)
         # PolyFit semantics for an unmet absolute guarantee: answer with the
         # approximation flagged un-guaranteed (the index was built with a
         # looser budget), never the exact method (absolute_fallback=False).
@@ -479,7 +391,6 @@ class PolyFitIndex:
             guarantee=guarantee,
             exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
             absolute_fallback=False,
-            certified=certified,
         )
 
     # ------------------------------------------------------------------ #

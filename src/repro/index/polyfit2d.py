@@ -23,7 +23,6 @@ from ..config import Aggregate, GuaranteeKind, QuadTreeConfig
 from ..errors import GuaranteeNotSatisfiedError, NotSupportedError, QueryError
 from ..fitting.quadtree import QuadCell, build_quadtree_surface
 from ..functions.cumulative2d import Cumulative2D, build_cumulative_2d
-from ..kernels import fused2d, resolve_kernel
 from ..queries.batch import DEFAULT_TILE_SIZE, iter_tiles, resolve_batch_certificates
 from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery2D
 from .directory import QuadDirectory
@@ -67,8 +66,6 @@ class PolyFit2DIndex:
                 grid = exact.sample_grid(resolution=grid_resolution)
             directory = QuadDirectory.from_quadtree(root, *grid)
         self._directory = directory
-        self._kernel_choice = "auto"
-        self._kernel_payload_cache: tuple | None = None
         # The certified bound is a construction-time constant; computing it
         # once keeps it off the per-query hot path.
         self._certified_bound = certified_absolute_bound(self._delta, aggregate, num_keys=2)
@@ -185,87 +182,6 @@ class PolyFit2DIndex:
         """Resolution of the CF sample grid the surfaces were fitted on."""
         return self._grid_resolution
 
-    @property
-    def kernel(self) -> str:
-        """Resolved batch-kernel backend: ``"numba"`` or ``"numpy"``.
-
-        Trees deeper than 31 levels stay on the NumPy path regardless of
-        the knob: their Morton codes exceed the compiled kernel's signed
-        64-bit code arithmetic.
-        """
-        resolved = resolve_kernel(self._kernel_choice)
-        if resolved == "numba" and self._directory.depth > 31:
-            return "numpy"
-        return resolved
-
-    def set_kernel(self, choice: str) -> None:
-        """Select the batch-kernel backend (``"auto"``/``"numba"``/``"numpy"``).
-
-        Same semantics as :meth:`PolyFitIndex.set_kernel`: ``"numba"``
-        fuses the 4-corner evaluation and Lemma 7 certificate into one
-        compiled pass, ``"numpy"`` pins the multi-pass vectorized path and
-        ``"auto"`` picks numba when importable.
-        """
-        resolve_kernel(choice)  # validate eagerly, including availability
-        self._kernel_choice = choice
-
-    def _kernel_payload(self) -> tuple:
-        """Flat-array tuple the fused corner kernel consumes (cached)."""
-        if self._kernel_payload_cache is None:
-            directory = self._directory
-            xmin, xmax, ymin, ymax = self._bounds
-            rxmin, rxmax, rymin, rymax = directory.root_bounds
-            x_boundaries = directory._x_boundaries
-            y_boundaries = directory._y_boundaries
-            if x_boundaries is None or y_boundaries is None:
-                # Deep trees carry no materialized boundary arrays; the
-                # kernel falls back to the midpoint descent (empty markers).
-                x_boundaries = np.empty(0, dtype=np.float64)
-                y_boundaries = np.empty(0, dtype=np.float64)
-            surfaces = directory.surfaces.to_arrays()
-            self._kernel_payload_cache = (
-                float(xmin), float(xmax), float(ymin), float(ymax),
-                float(rxmin), float(rxmax), float(rymin), float(rymax),
-                int(directory.depth),
-                np.ascontiguousarray(x_boundaries, dtype=np.float64),
-                np.ascontiguousarray(y_boundaries, dtype=np.float64),
-                float(directory._x_scale or 0.0),
-                float(directory._y_scale or 0.0),
-                directory.keys.astype(np.int64),
-                directory.exact_mask,
-                np.ascontiguousarray(directory.exact_ranges, dtype=np.int64),
-                surfaces["coeffs"],
-                surfaces["shift_u"],
-                surfaces["scale_u"],
-                surfaces["shift_v"],
-                surfaces["scale_v"],
-                directory.grid_x,
-                directory.grid_y,
-                directory.grid_cf,
-            )
-        return self._kernel_payload_cache
-
-    def _fused_batch(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-        threshold: float,
-        *,
-        compiled: bool | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Answer a validated batch through the fused compiled corner kernel."""
-        return fused2d.run_corners(
-            self._kernel_payload(),
-            x_lows,
-            x_highs,
-            y_lows,
-            y_highs,
-            threshold,
-            compiled=compiled,
-        )
-
     def size_in_bytes(self) -> int:
         """Footprint of the flat leaf directory (8 bytes per stored float).
 
@@ -340,24 +256,16 @@ class PolyFit2DIndex:
         x_lows, x_highs, y_lows, y_highs = self._validate_rectangles(
             x_lows, x_highs, y_lows, y_highs
         )
-        if self.kernel == "numba":
-            # The compiled pass materializes no per-corner transients, so it
-            # needs no tiling — one parallel sweep over the whole batch.
-            return self._fused_batch(x_lows, x_highs, y_lows, y_highs, np.inf)[0]
-        return self._estimate_batch_numpy(x_lows, x_highs, y_lows, y_highs)
+        return self._estimate_batch_validated(x_lows, x_highs, y_lows, y_highs)
 
-    def _estimate_batch_numpy(
+    def _estimate_batch_validated(
         self,
         x_lows: np.ndarray,
         x_highs: np.ndarray,
         y_lows: np.ndarray,
         y_highs: np.ndarray,
     ) -> np.ndarray:
-        """The tiled NumPy corner path over already-validated bound arrays.
-
-        This is the pinnable oracle the kernel bit-identity tests compare
-        against, regardless of the kernel knob.
-        """
+        """The tiled corner path over already-validated bound arrays."""
         n = x_lows.size
         out = np.empty(n, dtype=np.float64)
         for start, stop in iter_tiles(n, self._tile_size):
@@ -412,20 +320,7 @@ class PolyFit2DIndex:
         x_lows, x_highs, y_lows, y_highs = self._validate_rectangles(
             x_lows, x_highs, y_lows, y_highs
         )
-        certified = None
-        if (
-            guarantee is not None
-            and guarantee.kind is not GuaranteeKind.ABSOLUTE
-            and self.kernel == "numba"
-        ):
-            # Fused path: the Lemma 7 certificate comparison runs inside the
-            # same compiled pass as the 4-corner evaluation.
-            threshold = self._certified_bound * (1.0 + 1.0 / guarantee.epsilon)
-            approx, certified = self._fused_batch(
-                x_lows, x_highs, y_lows, y_highs, threshold
-            )
-        else:
-            approx = self.estimate_batch(x_lows, x_highs, y_lows, y_highs)
+        approx = self._estimate_batch_validated(x_lows, x_highs, y_lows, y_highs)
         # Same absolute-guarantee semantics as the scalar path: answer with
         # the approximation flagged un-guaranteed when the build budget is too
         # loose (absolute_fallback=False).
@@ -437,7 +332,6 @@ class PolyFit2DIndex:
                 x_lows[mask], x_highs[mask], y_lows[mask], y_highs[mask]
             ),
             absolute_fallback=False,
-            certified=certified,
         )
 
     @staticmethod

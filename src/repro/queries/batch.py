@@ -71,7 +71,6 @@ def resolve_batch_certificates(
     guarantee: Guarantee | None,
     exact_for_mask: Callable[[np.ndarray], np.ndarray],
     absolute_fallback: bool,
-    certified: np.ndarray | None = None,
 ) -> BatchQueryResult:
     """Apply guarantee semantics to a batch of approximate answers.
 
@@ -97,12 +96,6 @@ def resolve_batch_certificates(
         semantics — the index was built with a looser budget than requested).
         With per-query bounds the decision is per query: only the queries
         whose own bound exceeds the budget fall back / lose the flag.
-    certified:
-        Optional precomputed relative-certificate mask
-        (``approx >= error_bound * (1 + 1/eps)``), supplied by fused kernels
-        that evaluate the comparison inside the same compiled pass.  Ignored
-        unless the guarantee is relative; when omitted the comparison runs
-        here.
 
     NaN approximations (empty MAX/MIN ranges) fail the relative certificate
     comparison and take the exact path, matching the scalar implementations.
@@ -128,14 +121,9 @@ def resolve_batch_certificates(
         bounds[fallback] = 0.0
         return BatchQueryResult(values, np.ones(n, dtype=bool), fallback, bounds)
 
-    if certified is None:
-        threshold = bounds * (1.0 + 1.0 / guarantee.epsilon)
-        with np.errstate(invalid="ignore"):
-            certified = approx >= threshold
-    else:
-        certified = np.asarray(certified, dtype=bool)
-        if certified.shape != approx.shape:
-            raise QueryError("certified mask must match the approx answers")
+    threshold = bounds * (1.0 + 1.0 / guarantee.epsilon)
+    with np.errstate(invalid="ignore"):
+        certified = approx >= threshold
     fallback = ~certified
     values = approx.copy()
     if np.any(fallback):

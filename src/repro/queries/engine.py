@@ -28,33 +28,7 @@ __all__ = [
     "AccuracyReport",
     "evaluate_accuracy",
     "queries_to_bounds",
-    "apply_kernel_knob",
 ]
-
-
-def apply_kernel_knob(index: object, kernel: str, name: str = "method") -> None:
-    """Select the batch-kernel backend on an index that exposes ``set_kernel``.
-
-    ``kernel="auto"`` is a no-op (every method accepts it); any other value
-    requires the index — or, for updatable wrappers that route batch answers
-    through their base, ``index.base`` — to expose ``set_kernel`` and raises
-    :class:`~repro.errors.QueryError` otherwise.  Shared by
-    :meth:`QueryEngine.for_index` and the serving layer's
-    :class:`~repro.serve.host.EngineHost` so both wire the knob identically.
-    """
-    if kernel == "auto":
-        return
-    set_kernel = getattr(index, "set_kernel", None)
-    if set_kernel is None:
-        # Updatable wrappers route batch answers through their base index;
-        # the knob lands there.
-        set_kernel = getattr(getattr(index, "base", None), "set_kernel", None)
-    if set_kernel is None:
-        raise QueryError(
-            f"method {name!r} has no kernel knob (set_kernel); "
-            "only kernel='auto' is valid here"
-        )
-    set_kernel(kernel)
 
 
 def queries_to_bounds(
@@ -179,7 +153,6 @@ class QueryEngine:
         *,
         num_shards: int = 1,
         executor: str = "thread",
-        kernel: str = "auto",
         cache_size: int = 0,
     ) -> "QueryEngine":
         """Wire an engine from an index object, auto-detecting batch support.
@@ -205,16 +178,12 @@ class QueryEngine:
         batch/scalar oracle equivalence holds and every worker serves one
         consistent snapshot even while the index keeps absorbing writes.
 
-        ``kernel`` selects the batch-kernel backend on indexes that expose
-        ``set_kernel`` ("auto"/"numba"/"numpy"); the default "auto" leaves
-        the index's own default in place, so it is safe for every method.
         ``cache_size`` > 0 enables the epoch-keyed LRU result cache (see
         :class:`~repro.queries.cache.ResultCache`); the cache key uses the
         *live* index's write version, captured before any snapshot pinning,
         so inserts and compactions invalidate cached answers even when the
         batch path serves a frozen overlay.
         """
-        apply_kernel_knob(index, kernel, name)
         # Capture the version source before any snapshot rebinding below:
         # the cache must observe the live index's writes, not the frozen
         # overlay's constant epoch.
@@ -235,9 +204,7 @@ class QueryEngine:
                 # diverge after an insert.
                 index = snapshot()
                 exact_batch = getattr(index, "exact_batch", None)
-            sharded = ShardedQueryEngine(
-                index=index, num_shards=num_shards, executor=executor, kernel=kernel
-            )
+            sharded = ShardedQueryEngine(index=index, num_shards=num_shards, executor=executor)
             approximate_batch = sharded.query_batch
             if exact_batch is not None:
                 exact_batch = sharded.exact_batch

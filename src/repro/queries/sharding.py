@@ -39,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import QueryError
-from ..kernels import resolve_kernel
 from ..obs.metrics import histogram_family
 from .batch import validate_bounds_batch
 from .types import BatchQueryResult, Guarantee
@@ -90,32 +89,12 @@ def shard_slices(total: int, num_shards: int) -> list[tuple[int, int]]:
 _WORKER_INDEX = None
 
 
-def _apply_kernel(index: object, kernel: str) -> None:
-    """Select the batch-kernel backend on an index (or its base), if any.
-
-    ``"auto"`` is every index's construction default, so it is a no-op; any
-    other choice requires the index to expose ``set_kernel``.
-    """
-    if kernel == "auto":
-        return
-    set_kernel = getattr(index, "set_kernel", None)
-    if set_kernel is None:
-        set_kernel = getattr(getattr(index, "base", None), "set_kernel", None)
-    if set_kernel is None:
-        raise QueryError(
-            f"index {type(index).__name__} has no kernel knob (set_kernel); "
-            "only kernel='auto' is valid here"
-        )
-    set_kernel(kernel)
-
-
-def _worker_init_from_path(index_path: str, mmap: bool, kernel: str = "auto") -> None:
+def _worker_init_from_path(index_path: str, mmap: bool) -> None:
     """Load the shared index inside a worker process (mmap → shared pages)."""
     global _WORKER_INDEX
     from ..index.codec import load_index_binary
 
     _WORKER_INDEX = load_index_binary(index_path, mmap=mmap)
-    _apply_kernel(_WORKER_INDEX, kernel)
 
 
 def _worker_init_inherit(index: object) -> None:
@@ -209,11 +188,6 @@ class ShardedQueryEngine:
     mmap:
         Whether path-loaded indexes are memory-mapped (kept for benchmarks
         that compare against eager loading).
-    kernel:
-        Batch-kernel backend ("auto"/"numba"/"numpy") applied to the local
-        index and, crucially, re-applied inside every path-loaded process
-        worker — a freshly mmap'd index would otherwise silently revert to
-        its own default.  "auto" leaves every index untouched.
 
     The engine owns its pool: it is created lazily on the first parallel
     call and released by :meth:`close` (or a ``with`` block).  Results are
@@ -230,10 +204,8 @@ class ShardedQueryEngine:
         executor: str = "thread",
         min_queries_per_shard: int = DEFAULT_MIN_QUERIES_PER_SHARD,
         mmap: bool = True,
-        kernel: str = "auto",
         metrics: ShardMetrics | None = None,
     ) -> None:
-        resolve_kernel(kernel)  # validate the choice (and its availability) eagerly
         if executor not in _EXECUTORS:
             raise QueryError(
                 f"unknown executor {executor!r}; choose one of {_EXECUTORS}"
@@ -254,11 +226,8 @@ class ShardedQueryEngine:
         self._executor = executor
         self._min_queries_per_shard = int(min_queries_per_shard)
         self._mmap = bool(mmap)
-        self._kernel = kernel
         self._metrics = metrics
         self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-        if index is not None:
-            _apply_kernel(index, kernel)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -295,7 +264,6 @@ class ShardedQueryEngine:
             from ..index.codec import load_index_binary
 
             self._index = load_index_binary(self._index_path, mmap=self._mmap)
-            _apply_kernel(self._index, self._kernel)
         return self._index
 
     # ------------------------------------------------------------------ #
@@ -429,7 +397,7 @@ class ShardedQueryEngine:
             self._pool = ProcessPoolExecutor(
                 max_workers=self._num_shards,
                 initializer=_worker_init_from_path,
-                initargs=(self._index_path, self._mmap, self._kernel),
+                initargs=(self._index_path, self._mmap),
             )
         else:
             # In-memory index: only fork can share it without pickling —

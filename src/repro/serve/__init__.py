@@ -8,7 +8,7 @@ package turns one into the other:
   concurrent requests per ``(index, guarantee)`` and flushes them as one
   vectorized ``query_batch`` call, bit-identical to direct calls.
 * :class:`~repro.serve.host.EngineHost` — pins epoch snapshots on
-  updatable indexes and wires the cache/kernel/shard knobs.
+  updatable indexes and wires the cache/shard knobs.
 * :class:`~repro.serve.http.ServeServer` — a dependency-free asyncio
   HTTP/JSON front (``/query``, ``/query_batch``, ``/stats``, ``/healthz``,
   plus write endpoints for updatable indexes).

@@ -15,9 +15,8 @@ authority) and the NumPy batch engines (executed on worker threads):
 * **Knob wiring** — ``cache_size`` enables the version-keyed
   :class:`~repro.queries.cache.ResultCache` (keyed on the *live* write
   version captured at pin time, so inserts and compactions invalidate
-  cached answers), ``kernel`` selects the fused batch backend, and
-  ``num_shards``/``executor`` fan large batches out through
-  :class:`~repro.queries.sharding.ShardedQueryEngine`.
+  cached answers), and ``num_shards``/``executor`` fan large batches out
+  through :class:`~repro.queries.sharding.ShardedQueryEngine`.
 
 Thread-safety contract: :meth:`pin`, :meth:`insert` and :meth:`compact` must
 be called from the event-loop thread (they observe/advance the mutation
@@ -37,7 +36,6 @@ from ..errors import NotSupportedError, QueryError
 from ..obs.metrics import counter_family, gauge_family
 from ..obs.tracing import Trace
 from ..queries.cache import CacheInfo, ResultCache
-from ..queries.engine import apply_kernel_knob
 from ..queries.types import BatchQueryResult, Guarantee
 
 __all__ = ["EngineHost", "HostMetrics", "PinnedView"]
@@ -117,9 +115,6 @@ class EngineHost:
         Label used in stats and error messages.
     cache_size:
         When > 0, memoize whole-batch answers in a version-keyed LRU.
-    kernel:
-        Batch-kernel backend knob ("auto"/"numba"/"numpy"), applied via
-        :func:`~repro.queries.engine.apply_kernel_knob`.
     num_shards, executor:
         When ``num_shards > 1``, batches are fanned out through a
         :class:`~repro.queries.sharding.ShardedQueryEngine` over the pinned
@@ -141,7 +136,6 @@ class EngineHost:
         *,
         name: str = "default",
         cache_size: int = 0,
-        kernel: str = "auto",
         num_shards: int = 1,
         executor: str = "thread",
         instrument: bool = True,
@@ -151,12 +145,10 @@ class EngineHost:
                 f"index {name!r} has no query_batch interface; "
                 "the serving layer only fronts batch-capable indexes"
             )
-        apply_kernel_knob(index, kernel, name)
         if num_shards < 1:
             raise QueryError(f"num_shards must be >= 1, got {num_shards}")
         self._index = index
         self.name = name
-        self._kernel = kernel
         self._num_shards = int(num_shards)
         self._executor = executor
         self._updatable = callable(getattr(index, "snapshot", None))
@@ -223,7 +215,6 @@ class EngineHost:
             "updatable": self._updatable,
             "epoch": int(getattr(index, "epoch", 0)),
             "version": int(getattr(index, "version", 0)),
-            "kernel": self._kernel,
             "num_shards": self._num_shards,
             "cache": None if self._cache is None else self._cache.info().as_dict(),
         }
@@ -399,7 +390,6 @@ class EngineHost:
             index=pinned,
             num_shards=self._num_shards,
             executor=self._executor,
-            kernel="auto",  # already applied to the live index above
             metrics=self._shard_metrics,
         )
         self._sharded.append((pinned, engine))

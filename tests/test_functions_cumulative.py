@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Aggregate
+from repro.baselines import KeyCumulativeArray
 from repro.errors import DataError, QueryError
 from repro.functions import build_cumulative_function
 
@@ -114,6 +115,31 @@ class TestCumulativeEvaluation:
             low, high = np.sort(rng.uniform(0, 100, size=2))
             expected = measures[(keys >= low) & (keys <= high)].sum()
             assert cf.range_sum(low, high) == pytest.approx(expected)
+
+    # Ranges below, above and between the keys, plus empty and degenerate
+    # ones: the batch paths must equal the scalar oracle exactly.
+    EDGE_LOWS = np.array([0.0, 1.0, 45.0, 50.0, 21.0, 20.0, 30.0, 0.0, 40.0, 10.0])
+    EDGE_HIGHS = np.array([5.0, 9.5, 60.0, 50.0, 29.0, 20.0, 30.0, 100.0, 40.0, 10.0])
+
+    def test_batch_matches_scalar_out_of_domain(self, cf):
+        keys = np.concatenate((self.EDGE_LOWS, self.EDGE_HIGHS))
+        assert np.array_equal(cf.evaluate(keys), [cf.evaluate(float(k)) for k in keys])
+        batch = cf.range_sum_batch(self.EDGE_LOWS, self.EDGE_HIGHS)
+        scalar = [cf.range_sum(lo, hi) for lo, hi in zip(self.EDGE_LOWS, self.EDGE_HIGHS)]
+        assert np.array_equal(batch, scalar)
+        assert np.array_equal(batch[:5], np.zeros(5))
+
+    def test_kca_batch_matches_scalar_out_of_domain(self, cf):
+        kca = KeyCumulativeArray.from_cumulative(cf)
+        keys = np.concatenate((self.EDGE_LOWS, self.EDGE_HIGHS))
+        assert np.array_equal(
+            kca.evaluate_batch(keys), [kca.evaluate(float(k)) for k in keys]
+        )
+        batch = kca.range_aggregate_batch(self.EDGE_LOWS, self.EDGE_HIGHS)
+        scalar = [
+            kca.range_aggregate(lo, hi) for lo, hi in zip(self.EDGE_LOWS, self.EDGE_HIGHS)
+        ]
+        assert np.array_equal(batch, scalar)
 
     def test_slice_points(self, cf):
         keys, values = cf.slice_points(1, 3)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.config import Aggregate
-from repro.errors import QueryError
 from repro.queries.cache import ResultCache
 from repro.queries.engine import QueryEngine
 from repro.queries.types import Guarantee, RangeQuery, RangeQuery2D
@@ -231,28 +230,3 @@ class TestEngineCache2D:
         first = cached.run_batch_raw(queries2d)
         assert cached.run_batch_raw(queries2d) is first
         assert cached.cache_info().hits == 1
-
-
-class TestForIndexKernelKnob:
-    def test_unknown_kernel_rejected(self, count_index):
-        with pytest.raises(QueryError):
-            QueryEngine.for_index(count_index, kernel="cuda")
-
-    def test_numba_without_runtime_rejected(self, count_index):
-        from repro.kernels import NUMBA_AVAILABLE
-
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba present: the knob is accepted")
-        with pytest.raises(QueryError):
-            QueryEngine.for_index(count_index, kernel="numba")
-
-    def test_kernel_knob_requires_support(self):
-        engine_target = object()
-        with pytest.raises(QueryError):
-            QueryEngine.for_index(engine_target, kernel="numpy")
-
-    def test_numpy_knob_applies_to_updatable_base(self, stream_keys):
-        index = UpdatablePolyFitIndex.build(stream_keys, guarantee=Guarantee.absolute(200.0))
-        QueryEngine.for_index(index, kernel="numpy")
-        assert index.base.kernel == "numpy"
-        index.base.set_kernel("auto")

@@ -420,8 +420,6 @@ class TestEngineHost:
             second.values[inside], first.values[inside] + 1.0
         )
 
-    def test_kernel_knob_validation(self, index):
-        with pytest.raises(QueryError):
-            EngineHost(index, kernel="not-a-backend")
+    def test_shard_count_validation(self, index):
         with pytest.raises(QueryError):
             EngineHost(index, num_shards=0)

@@ -408,6 +408,24 @@ class TestSnapshotOverlay:
         # ... while the index's current snapshot sees the new records.
         assert index.exact_batch(lows, highs)[0] == before[0] + 2
 
+    def test_buffered_inserts_only_add_to_base_estimate(self, tweet_small):
+        keys, _ = tweet_small
+        index = UpdatablePolyFitIndex.build(
+            keys, delta=40.0, policy=CompactionPolicy(auto=False)
+        )
+        rng = np.random.default_rng(23)
+        inserted = rng.uniform(keys.min(), keys.max(), 200)
+        index.insert(inserted)
+        lows = rng.uniform(keys.min(), keys.max(), 500)
+        highs = lows + rng.uniform(0, 20, 500)
+        combined = index.estimate_batch(lows, highs)
+        base = index.base.estimate_batch(lows, highs)
+        # The overlay adds the buffer's exact count on top of the base
+        # estimate, and nothing else.
+        buffered = _count_oracle(inserted, lows, highs)
+        assert np.array_equal(combined, base + buffered)
+        assert np.all(combined - base >= 0)
+
     def test_overlay_epoch_and_aggregate_guard(self):
         rng = np.random.default_rng(71)
         keys = np.sort(rng.uniform(0, 100, 300))
