@@ -70,7 +70,6 @@ SMOKE_SIZES = {
 }
 
 DELTA = 100.0
-MAX_WAIT_MS = 1.0
 OVERHEAD_BUDGET_PCT = 5.0
 
 
@@ -102,9 +101,7 @@ async def _serve_p50_ms(
     tracer: Tracer | None = None,
 ) -> float:
     """Median sequential round trip through a fresh coalescer."""
-    coalescer = Coalescer(
-        host, max_wait_ms=MAX_WAIT_MS, instrument=instrument, tracer=tracer
-    )
+    coalescer = Coalescer(host, instrument=instrument, tracer=tracer)
     loop = asyncio.get_running_loop()
     samples = []
     for low, high in zip(lows, highs):
@@ -231,7 +228,6 @@ def run_benchmark(sizes: dict) -> dict:
         ),
         "records": sizes["records"],
         "delta": DELTA,
-        "max_wait_ms": MAX_WAIT_MS,
         "repeats": repeats,
         "serve": {
             "requests": int(serve_lows.size),
@@ -264,7 +260,7 @@ def _print_results(results: dict) -> None:
     serve = results["serve"]
     batch = results["batch"]
     print(
-        f"\n{results['records']} records, tick {results['max_wait_ms']} ms, "
+        f"\n{results['records']} records, "
         f"best of {results['repeats']}"
     )
     print()

@@ -4,7 +4,7 @@ Protocol (1-D COUNT, degree 1, in-process asyncio — no sockets, so the
 numbers isolate the coalescer + engine path from kernel TCP noise):
 
 * **idle round-trip** — median latency of sequential single requests
-  through the :class:`~repro.serve.coalescer.Coalescer` (one tick wait +
+  through the :class:`~repro.serve.coalescer.Coalescer` (one loop turn +
   a batch of one); the floor every loaded percentile is compared against.
 * **open-loop load** — arrivals scheduled at several offered QPS
   (independent of completions, so backlog shows up as latency, not as a
@@ -54,7 +54,6 @@ SMOKE_SIZES = {"records": 40_000, "requests": 300, "naive_requests": 60,
                "idle_probes": 15, "offered_qps": [200, 1_000]}
 
 DELTA = 100.0
-MAX_WAIT_MS = 1.0
 
 
 def _workload(records: int, requests: int, seed: int):
@@ -86,8 +85,8 @@ def _percentiles_ms(latencies: list[float]) -> dict:
 
 
 async def _idle_rtt_ms(host: EngineHost, probes: int) -> float:
-    """Median sequential single-request round trip (tick + batch of one)."""
-    coalescer = Coalescer(host, max_wait_ms=MAX_WAIT_MS)
+    """Median sequential single-request round trip (a batch of one)."""
+    coalescer = Coalescer(host)
     loop = asyncio.get_running_loop()
     samples = []
     for i in range(probes):
@@ -113,7 +112,7 @@ async def _open_loop(
     """Schedule arrivals at ``offered_qps``; latency is vs scheduled time."""
     loop = asyncio.get_running_loop()
     interval = 1.0 / offered_qps
-    coalescer = Coalescer(host, max_wait_ms=MAX_WAIT_MS) if mode == "coalesced" else None
+    coalescer = Coalescer(host) if mode == "coalesced" else None
     latencies: list[float] = []
     tasks = []
     start = loop.time()
@@ -158,7 +157,7 @@ async def _saturation(
     loop = asyncio.get_running_loop()
     start = loop.time()
     if mode == "coalesced":
-        coalescer = Coalescer(host, max_wait_ms=MAX_WAIT_MS)
+        coalescer = Coalescer(host)
         futures = [
             coalescer.submit((float(low), float(high)))
             for low, high in zip(lows, highs)
@@ -250,7 +249,6 @@ def run_benchmark(sizes: dict) -> dict:
         "records": sizes["records"],
         "delta": DELTA,
         "degree": 1,
-        "max_wait_ms": MAX_WAIT_MS,
         "idle_rtt_ms": idle_rtt_ms,
         "open_loop": levels,
         "saturation": {
@@ -268,7 +266,7 @@ def run_benchmark(sizes: dict) -> dict:
 
 def _print_results(results: dict) -> None:
     print(
-        f"\n{results['records']} records, tick {results['max_wait_ms']} ms, "
+        f"\n{results['records']} records, "
         f"idle round-trip {results['idle_rtt_ms']} ms"
     )
     rows = [

@@ -32,7 +32,8 @@ Provides ten subcommands mirroring a typical deployment workflow:
     Stand up the asyncio HTTP serving front (:mod:`repro.serve`) over a
     built index file, a fleet directory (``fleet-build`` output), or a
     synthetic updatable index: concurrent scalar requests are coalesced
-    into vectorized batch calls each tick.
+    into vectorized batch calls (group commit: a queue flushes as soon as
+    no flush of it is in flight).
 
 ``query-remote``
     Smoke-test a running server: one scalar query (or ``--stats``) over
@@ -219,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 picks a free one)")
-    serve.add_argument("--max-wait-ms", type=float, default=1.0,
-                       help="coalescing tick: max wait before a flush")
     serve.add_argument("--max-batch", type=int, default=8192,
-                       help="largest single coalesced batch call")
+                       help="largest single coalesced batch call; requests "
+                            "queued during a flush ride the next one")
     serve.add_argument("--max-pending", type=int, default=65536,
                        help="admission control: max queued requests")
     serve.add_argument("--cache-size", type=int, default=0,
@@ -549,7 +549,6 @@ def build_serve_server(args: argparse.Namespace):
     )
     server = ServeServer(
         host,
-        max_wait_ms=args.max_wait_ms,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         instrument=instrument,
@@ -568,7 +567,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {host.aggregate.value} index ({source}): "
         f"{getattr(index, 'num_segments', '?')} segments, "
-        f"updatable={host.updatable}, tick {args.max_wait_ms} ms, "
+        f"updatable={host.updatable}, "
         f"max batch {args.max_batch}, cache {args.cache_size}, "
         f"shards {args.num_shards}"
     )

@@ -153,7 +153,9 @@ class SegmentDirectory(CellDirectory):
     def locate_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`locate`: one ``searchsorted`` for all keys."""
         positions = np.searchsorted(self.keys, keys, side="right") - 1
-        return np.clip(positions, 0, len(self) - 1)
+        # maximum/minimum, not np.clip: under NumPy 2 each clip call builds
+        # finfo/iinfo objects, a fixed cost that dominates small batches.
+        return np.minimum(np.maximum(positions, 0), len(self) - 1)
 
     def covering_range(self, low: float, high: float) -> tuple[int, int]:
         """Indices (first, last) of segments intersecting ``[low, high]``."""

@@ -443,7 +443,7 @@ class PolyFitIndex:
         lower_idx = np.searchsorted(keys, lows, side="left") - 1
 
         sample_keys = np.concatenate(
-            (keys[np.clip(upper_idx, 0, None)], keys[np.clip(lower_idx, 0, None)])
+            (keys[np.maximum(upper_idx, 0)], keys[np.maximum(lower_idx, 0)])
         )
         rows = self._directory.locate_batch(sample_keys)
         corner_values = self._directory.bank.evaluate(rows, sample_keys)

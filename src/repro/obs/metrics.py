@@ -147,6 +147,10 @@ class Gauge:
         return self._value
 
 
+#: Inputs up to this length are binned by looping :meth:`Histogram.observe`.
+_SCALAR_OBSERVE_MAX = 8
+
+
 class Histogram:
     """Fixed-bucket histogram with cumulative Prometheus semantics.
 
@@ -154,10 +158,11 @@ class Histogram:
     overflow bucket catches everything above the top bound.  ``observe`` is
     a bisect + increment under a lock; ``observe_many`` bins a whole vector
     with ``np.searchsorted`` so per-batch instrumentation stays O(batch)
-    with a single lock acquisition.
+    with a single lock acquisition (short inputs just loop ``observe``,
+    which is cheaper than the NumPy calls' fixed cost).
     """
 
-    __slots__ = ("_lock", "_bounds", "_counts", "_sum", "_count", "_max")
+    __slots__ = ("_lock", "_bounds", "_bounds_array", "_counts", "_sum", "_count", "_max")
 
     enabled = True
 
@@ -167,6 +172,7 @@ class Histogram:
             raise ValueError("histogram buckets must be strictly increasing")
         self._lock = threading.Lock()
         self._bounds = bounds
+        self._bounds_array = np.asarray(bounds)
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
@@ -187,17 +193,22 @@ class Histogram:
                 self._max = value
 
     def observe_many(self, values: Iterable[float]) -> None:
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
-        if arr.size == 0:
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        if len(values) <= _SCALAR_OBSERVE_MAX:
+            for value in values:
+                self.observe(value)
             return
-        idx = np.searchsorted(np.asarray(self._bounds), arr, side="left")
+        arr = np.asarray(values, dtype=np.float64)
+        idx = np.searchsorted(self._bounds_array, arr, side="left")
         binned = np.bincount(idx, minlength=len(self._counts))
+        bins = np.flatnonzero(binned)
+        increments = zip(bins.tolist(), binned[bins].tolist())
         total = float(arr.sum())
         peak = float(arr.max())
         with self._lock:
-            for i, n in enumerate(binned):
-                if n:
-                    self._counts[i] += int(n)
+            for i, n in increments:
+                self._counts[i] += n
             self._sum += total
             self._count += int(arr.size)
             if peak > self._max:

@@ -4,9 +4,10 @@ The library's batch read path answers N queries 60-80x faster per query
 than N scalar calls, but a server's clients issue scalar requests.  This
 package turns one into the other:
 
-* :class:`~repro.serve.coalescer.Coalescer` — collects each ~1 ms tick's
+* :class:`~repro.serve.coalescer.Coalescer` — group commit: queues
   concurrent requests per ``(index, guarantee)`` and flushes them as one
-  vectorized ``query_batch`` call, bit-identical to direct calls.
+  vectorized ``query_batch`` call as soon as no flush of that queue is in
+  flight, bit-identical to direct calls.
 * :class:`~repro.serve.host.EngineHost` — pins epoch snapshots on
   updatable indexes and wires the cache/shard knobs.
 * :class:`~repro.serve.http.ServeServer` — a dependency-free asyncio

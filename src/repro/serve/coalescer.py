@@ -2,10 +2,11 @@
 
 The batch read path answers N queries 60-80x faster per query than N scalar
 calls (``BENCH_batch_throughput.json``), but end users issue *scalar*
-requests.  :class:`Coalescer` converts one into the other: concurrent
-requests accumulate in per-``(index, guarantee)`` queues, and every
-``max_wait_ms`` tick the queue is flushed as **one** ``query_batch`` call
-whose per-query answers are scattered back to per-request futures.
+requests.  :class:`Coalescer` converts one into the other with group
+commit: concurrent requests accumulate in per-``(index, guarantee)``
+queues, and a queue is flushed as **one** ``query_batch`` call as soon as
+no flush of it is in flight; per-query answers are scattered back to
+per-request futures.
 
 Correctness invariant: every batch kernel in the library is
 element-independent (evaluating a concatenation of workloads equals
@@ -17,11 +18,13 @@ directly with the request's bounds.
 
 Operational behaviour:
 
-* **Ticking** — a flusher task per queue wakes every ``max_wait_ms``; a
-  wake-up with an empty queue (a zero-arrival tick) terminates the task
-  (no idle spinning; the next submit restarts it).
+* **Group commit** — the first submit to an idle queue starts a flusher
+  task.  It yields one loop turn (so requests already readable on other
+  connections join), then drains the queue slice after slice and exits
+  once it is empty.  A lone request waits for no timer; under load the
+  arrivals during one flush form the next batch.
 * **Overflow splitting** — a flush drains the queue in ``max_batch``-sized
-  slices, issuing one engine call per slice, all within the same tick.
+  slices, issuing one engine call per slice, back to back.
 * **Admission control** — at most ``max_pending`` requests may be queued
   across all queues; beyond that :meth:`submit` fails fast with
   :class:`~repro.errors.ServerOverloadedError` (HTTP 503) instead of
@@ -61,7 +64,7 @@ class ServedAnswer(NamedTuple):
 
     Mirrors :class:`~repro.queries.types.QueryResult` plus serving metadata:
     the epoch/version of the pinned view that produced it and the size of
-    the batch it rode in (1 when the request was alone in its tick).
+    the batch it rode in (1 when the request was alone in its queue).
 
     A NamedTuple rather than a dataclass: the scatter loop builds one per
     request on the serving hot path, and tuple construction is several
@@ -147,7 +150,8 @@ class CoalescerMetrics:
         )
         self._fam_ticks = counter_family(
             "repro_coalescer_ticks_total",
-            "Flusher wake-ups, including empty (terminating) ticks.",
+            "Flusher passes: one per flushed slice, plus one per flusher "
+            "that found its queue already drained.",
             enabled=enabled,
         )
         self._fam_pending = gauge_family(
@@ -216,9 +220,6 @@ class Coalescer:
     hosts:
         Named :class:`~repro.serve.host.EngineHost` instances (or one host,
         registered under its own name).
-    max_wait_ms:
-        Tick length: the longest a lone request waits before its flush.
-        Smaller ticks trade batch size (throughput) for latency.
     max_batch:
         Largest single engine call; a fuller queue is drained in slices.
     max_pending:
@@ -238,7 +239,6 @@ class Coalescer:
         self,
         hosts: Mapping[str, EngineHost] | EngineHost,
         *,
-        max_wait_ms: float = 1.0,
         max_batch: int = 8192,
         max_pending: int = 65536,
         instrument: bool = True,
@@ -248,14 +248,11 @@ class Coalescer:
             hosts = {hosts.name: hosts}
         if not hosts:
             raise QueryError("coalescer needs at least one host")
-        if max_wait_ms <= 0:
-            raise QueryError(f"max_wait_ms must be positive, got {max_wait_ms}")
         if max_batch < 1:
             raise QueryError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
             raise QueryError(f"max_pending must be >= 1, got {max_pending}")
         self._hosts = dict(hosts)
-        self._max_wait = max_wait_ms / 1000.0
         self._max_batch = int(max_batch)
         self._max_pending = int(max_pending)
         self._queues: dict[_QueueKey, list[_QueueItem]] = {}
@@ -300,7 +297,7 @@ class Coalescer:
         *,
         index: str = "default",
     ) -> "asyncio.Future[ServedAnswer]":
-        """Enqueue one scalar request; the future resolves at the next flush.
+        """Enqueue one scalar request; the future resolves at its flush.
 
         ``bounds`` is ``(low, high)`` for 1-D hosts and ``(x_low, x_high,
         y_low, y_high)`` for 2-D hosts.  Malformed bounds are rejected here,
@@ -369,23 +366,32 @@ class Coalescer:
     # ------------------------------------------------------------------ #
 
     async def _flush_loop(self, key: _QueueKey) -> None:
-        """Per-queue ticker: sleep a tick, drain, exit when a tick is empty.
+        """Per-queue group-commit flusher: yield once, drain, exit.
 
-        The empty-check-then-return path contains no await, so a submit can
-        only interleave while this task is parked on ``sleep`` or inside a
-        flush — both of which re-examine the queue afterwards; no request
-        can be stranded.
+        The single ``sleep(0)`` lets requests already readable on other
+        connections join the first slice.  The empty-check-then-return path
+        contains no await, so a submit can only interleave while this task
+        is parked on that yield or inside a flush — both of which
+        re-examine the queue afterwards; no request can be stranded.
         """
-        while True:
-            await asyncio.sleep(self._max_wait)
+        await asyncio.sleep(0)
+        if not self._queues[key]:  # drained by stop() meanwhile
             self._obs.ticks.inc()
-            queue = self._queues.get(key)
-            if not queue:
-                return
-            while queue:
-                batch = queue[:self._max_batch]
-                del queue[:self._max_batch]
-                await self._flush(key, batch)
+            return
+        await self._drain(key)
+
+    async def _drain(self, key: _QueueKey) -> None:
+        """Flush ``key``'s queue in ``max_batch`` slices until it is empty.
+
+        Each slice is popped synchronously, so two drains of one queue (a
+        flusher and :meth:`stop`) never double-serve a request.
+        """
+        queue = self._queues[key]
+        while queue:
+            batch = queue[:self._max_batch]
+            del queue[:self._max_batch]
+            self._obs.ticks.inc()
+            await self._flush(key, batch)
 
     async def _flush(self, key: _QueueKey, batch: list[_QueueItem]) -> None:
         """Evaluate one slice as a single batch call and scatter the answers."""
@@ -480,18 +486,11 @@ class Coalescer:
         raises :class:`~repro.errors.ServerOverloadedError`.
         """
         self._closed = True
-        # Drain directly instead of waiting out the tickers: each slice is
-        # popped synchronously, so a concurrently flushing ticker and this
-        # loop never double-serve a request.
+        # Drain directly instead of waiting for the flushers, which exit on
+        # their own once their queues are empty.  Never cancel a flusher:
+        # one caught mid-flush would abandon its batch's futures.
         for key in list(self._queues):
-            queue = self._queues[key]
-            while queue:
-                batch = queue[:self._max_batch]
-                del queue[:self._max_batch]
-                await self._flush(key, batch)
-        # Never cancel a ticker: one caught mid-flush would abandon its
-        # batch's futures.  With the queues empty each ticker exits on its
-        # own at the next tick, so this waits at most ~one max_wait_ms.
+            await self._drain(key)
         flushers = [task for task in self._flushers.values() if not task.done()]
         await asyncio.gather(*flushers, return_exceptions=True)
         self._flushers.clear()

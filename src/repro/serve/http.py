@@ -255,7 +255,6 @@ class ServeServer:
         self,
         hosts: Mapping[str, EngineHost] | EngineHost,
         *,
-        max_wait_ms: float = 1.0,
         max_batch: int = 8192,
         max_pending: int = 65536,
         instrument: bool = True,
@@ -275,7 +274,6 @@ class ServeServer:
         )
         self.coalescer = Coalescer(
             hosts,
-            max_wait_ms=max_wait_ms,
             max_batch=max_batch,
             max_pending=max_pending,
             instrument=instrument,
@@ -570,9 +568,10 @@ class ServeServer:
             loop.run_in_executor(None, host.execute, view, columns, guarantee),
             deadline,
         )
-        bounds_list = [
-            None if np.isnan(b) else float(b) for b in answer.error_bounds
-        ]
+        # One C-level conversion, then a NaN -> None pass over plain floats
+        # (the coalescer's scatter idiom): per-element NumPy calls here
+        # would cost milliseconds per body on the event-loop thread.
+        bounds_list = [b if b == b else None for b in answer.error_bounds.tolist()]
         degraded_column = getattr(answer, "degraded", None)
         degraded = (
             degraded_column.tolist()

@@ -76,14 +76,22 @@ class TestInstruments:
         assert hist.sum == pytest.approx(106.5)
 
     def test_histogram_observe_many_matches_scalar(self):
-        values = np.random.default_rng(3).uniform(0.0, 5.0, size=1000)
-        scalar = Histogram(buckets=(1.0, 2.0, 4.0))
-        vector = Histogram(buckets=(1.0, 2.0, 4.0))
-        for v in values:
-            scalar.observe(v)
-        vector.observe_many(values)
-        assert scalar.cumulative_counts() == vector.cumulative_counts()
-        assert scalar.sum == pytest.approx(vector.sum)
+        rng = np.random.default_rng(3)
+        # Short inputs loop observe(); long ones bin with NumPy: both paths,
+        # fed arrays and lists, must land exactly where scalar calls do.
+        for size in (0, 1, 2, 1000):
+            values = rng.uniform(0.0, 5.0, size=size)
+            for batch in (values, values.tolist()):
+                scalar = Histogram(buckets=(1.0, 2.0, 4.0))
+                vector = Histogram(buckets=(1.0, 2.0, 4.0))
+                for v in values:
+                    scalar.observe(v)
+                vector.observe_many(batch)
+                assert scalar.cumulative_counts() == vector.cumulative_counts()
+                assert scalar.count == vector.count == size
+                assert scalar.sum == pytest.approx(vector.sum)
+                # p99 interpolates into the overflow bucket up to the max.
+                assert scalar.percentile(99) == pytest.approx(vector.percentile(99))
 
     def test_histogram_percentiles(self):
         hist = Histogram(buckets=tuple(float(b) for b in range(1, 101)))

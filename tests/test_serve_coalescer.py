@@ -6,6 +6,7 @@ answers must be *bit-identical* to calling ``query_batch`` directly.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestBitIdentity:
 
     def test_plain_count_batch(self, index):
         lows, highs = make_bounds(500)
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+        coalescer = Coalescer(EngineHost(index))
         answers = gather_answers(coalescer, lows, highs)
         direct = index.query_batch(lows, highs)
         values, guaranteed, fallback, bounds = answers_to_columns(answers)
@@ -87,7 +88,7 @@ class TestBitIdentity:
     )
     def test_guaranteed_queries(self, index, guarantee):
         lows, highs = make_bounds(300, seed=2)
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+        coalescer = Coalescer(EngineHost(index))
         answers = gather_answers(coalescer, lows, highs, guarantee)
         direct = index.query_batch(lows, highs, guarantee)
         values, guaranteed, fallback, bounds = answers_to_columns(answers)
@@ -102,7 +103,7 @@ class TestBitIdentity:
         guarantee = Guarantee.relative(0.05)
 
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
             plain = [
                 coalescer.submit((low, high)) for low, high in zip(lows, highs)
             ]
@@ -132,7 +133,7 @@ class TestBitIdentity:
         y_lows, y_highs = make_bounds(100, seed=9, span=(0.0, 100.0))
 
         async def run():
-            coalescer = Coalescer(host, max_wait_ms=0.5)
+            coalescer = Coalescer(host)
             futures = [
                 coalescer.submit((xl, xh, yl, yh))
                 for xl, xh, yl, yh in zip(x_lows, x_highs, y_lows, y_highs)
@@ -150,23 +151,41 @@ class TestBitIdentity:
 
 class TestEdgeCases:
     def test_single_request_rides_a_batch_of_one(self, index):
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+        coalescer = Coalescer(EngineHost(index))
         answers = gather_answers(coalescer, [100.0], [600.0])
         direct = index.query_batch(np.array([100.0]), np.array([600.0]))
         assert answers[0].value == direct.values[0]
         assert answers[0].batch_size == 1
         assert coalescer.stats.batches == 1
 
-    def test_zero_arrival_ticks_idle_out(self, index):
-        """An empty tick stops the flusher; no batches run while idle."""
+    def test_lone_request_flushes_without_a_timer(self, index):
+        """An idle queue flushes after a few loop turns, not after a sleep."""
 
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
+            future = coalescer.submit((100.0, 600.0))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            # The slice was popped and its engine call issued without the
+            # loop ever idling on a timer.
+            assert coalescer.stats.ticks == 1
+            answer = await future
+            await coalescer.stop()
+            return answer
+
+        answer = asyncio.run(run())
+        assert answer.batch_size == 1
+
+    def test_zero_arrival_ticks_idle_out(self, index):
+        """A drained queue stops its flusher; no batches run while idle."""
+
+        async def run():
+            coalescer = Coalescer(EngineHost(index))
             answer = await coalescer.submit((10.0, 500.0))
             assert answer.value >= 0.0
-            # Several idle tick lengths: the flusher must have exited
-            # rather than spin (its task is done), and no further batches
-            # or ticks accumulate while nothing arrives.
+            # Once its queue is empty the flusher must have exited rather
+            # than spin (its task is done), and no further batches or ticks
+            # accumulate while nothing arrives.
             await asyncio.sleep(0.01)
             flushers = list(coalescer._flushers.values())
             assert all(task.done() for task in flushers)
@@ -178,9 +197,47 @@ class TestEdgeCases:
 
         asyncio.run(run())
 
+    def test_arrivals_during_a_flush_ride_the_next_batch(self, index):
+        """Group commit: a lone request flushes at once; requests queued
+        while its engine call runs form exactly one follow-up batch."""
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingIndex:
+            def query_batch(self, lows, highs, guarantee=None):
+                entered.set()
+                assert release.wait(timeout=10.0), "engine never released"
+                return index.query_batch(lows, highs, guarantee)
+
+        lows, highs = make_bounds(11, seed=14)
+
+        async def run():
+            coalescer = Coalescer(EngineHost(BlockingIndex()))
+            loop = asyncio.get_running_loop()
+            first = coalescer.submit((lows[0], highs[0]))
+            assert await loop.run_in_executor(None, entered.wait, 10.0)
+            rest = [
+                coalescer.submit((low, high))
+                for low, high in zip(lows[1:], highs[1:])
+            ]
+            release.set()
+            answers = await asyncio.gather(first, *rest)
+            await coalescer.stop()
+            return coalescer.stats, answers
+
+        stats, answers = asyncio.run(run())
+        assert stats.batches == 2
+        assert stats.served == 11
+        assert [a.batch_size for a in answers] == [1] + [10] * 10
+        direct = index.query_batch(lows, highs)
+        values, guaranteed, fallback, bounds = answers_to_columns(answers)
+        assert np.array_equal(values, direct.values)
+        assert np.array_equal(guaranteed, direct.guaranteed)
+        assert np.array_equal(fallback, direct.exact_fallback)
+        assert np.array_equal(bounds, direct.error_bounds, equal_nan=True)
+
     def test_max_batch_overflow_splits(self, index):
         lows, highs = make_bounds(100, seed=4)
-        coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5, max_batch=32)
+        coalescer = Coalescer(EngineHost(index), max_batch=32)
         answers = gather_answers(coalescer, lows, highs)
         direct = index.query_batch(lows, highs)
         assert np.array_equal(
@@ -192,9 +249,7 @@ class TestEdgeCases:
 
     def test_admission_control_fast_fails(self, index):
         async def run():
-            coalescer = Coalescer(
-                EngineHost(index), max_wait_ms=5.0, max_pending=10
-            )
+            coalescer = Coalescer(EngineHost(index), max_pending=10)
             accepted = [
                 coalescer.submit((float(i), float(i + 1))) for i in range(10)
             ]
@@ -212,7 +267,7 @@ class TestEdgeCases:
 
     def test_per_request_validation_never_fails_a_batch(self, index):
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
             good = coalescer.submit((10.0, 700.0))
             with pytest.raises(QueryError):
                 coalescer.submit((700.0, 10.0))  # inverted range
@@ -233,11 +288,11 @@ class TestEdgeCases:
         lows, highs = make_bounds(200, seed=5)
 
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=50.0)
+            coalescer = Coalescer(EngineHost(index))
             futures = [
                 coalescer.submit((low, high)) for low, high in zip(lows, highs)
             ]
-            # Stop immediately — far before the 50 ms tick would flush.
+            # Stop immediately — before the flusher has had a loop turn.
             await coalescer.stop()
             assert all(f.done() for f in futures)
             with pytest.raises(ServerOverloadedError):
@@ -252,7 +307,7 @@ class TestEdgeCases:
 
     def test_stop_is_idempotent(self, index):
         async def run():
-            coalescer = Coalescer(EngineHost(index), max_wait_ms=0.5)
+            coalescer = Coalescer(EngineHost(index))
             await coalescer.submit((1.0, 2.0))
             await coalescer.stop()
             await coalescer.stop()
@@ -295,7 +350,7 @@ class TestEpochConsistency:
 
         async def run():
             host = EngineHost(updatable)
-            coalescer = Coalescer(host, max_wait_ms=0.2)
+            coalescer = Coalescer(host)
             rng = np.random.default_rng(11)
             futures = []
             inserted = 0.0
@@ -336,7 +391,7 @@ class TestEpochConsistency:
 
         async def run():
             host = EngineHost(updatable)
-            coalescer = Coalescer(host, max_wait_ms=1.0)
+            coalescer = Coalescer(host)
             futures = [coalescer.submit((low, high), exact) for _ in range(20)]
             updatable.insert(np.full(13, 500.0))
             updatable.compact()  # epoch swap while the batch is queued

@@ -13,6 +13,7 @@ import pytest
 from repro import Aggregate, CompactionPolicy, Guarantee, PolyFitIndex, UpdatablePolyFitIndex
 from repro.cli import build_parser, build_serve_server, main
 from repro.errors import QueryError
+from repro.queries.types import BatchQueryResult
 from repro.serve import (
     EngineHost,
     ServeServer,
@@ -124,6 +125,31 @@ class TestEndpoints:
             None if np.isnan(b) else float(b) for b in direct.error_bounds
         ]
         assert payload["error_bounds"] == expected_bounds
+
+    def test_nan_error_bounds_encode_as_null(self, index):
+        """An engine without certified bounds (NaN) answers ``null``."""
+
+        class UnboundedIndex:
+            def query_batch(self, lows, highs, guarantee=None):
+                direct = index.query_batch(lows, highs, guarantee)
+                return BatchQueryResult(
+                    direct.values, direct.guaranteed, direct.exact_fallback
+                )
+
+        lows, highs = [10.0, 20.0, 30.0], [600.0, 700.0, 800.0]
+
+        def scenario(url):
+            return (
+                query_batch_remote(url, lows, highs),
+                query_remote(url, lows[0], highs[0]),
+            )
+
+        batch, scalar = with_server(lambda: EngineHost(UnboundedIndex()), scenario)
+        direct = index.query_batch(np.array(lows), np.array(highs))
+        assert batch["values"] == direct.values.tolist()
+        assert batch["error_bounds"] == [None, None, None]
+        assert scalar["value"] == direct.values[0]
+        assert scalar["error_bound"] is None
 
     def test_stats_exposes_coalescer_and_cache(self, index):
         def scenario(url):
@@ -283,7 +309,7 @@ class TestCLI:
     def test_serve_args_parse(self):
         args = build_parser().parse_args(
             ["serve", "--synthetic", "5000", "--delta", "50",
-             "--max-wait-ms", "0.5", "--cache-size", "16", "--port", "0"]
+             "--cache-size", "16", "--port", "0"]
         )
         assert args.command == "serve"
         assert args.synthetic == 5000

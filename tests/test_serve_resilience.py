@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
 import urllib.error
 import urllib.request
 
@@ -189,14 +190,26 @@ class TestHttpResilience:
         keys = np.sort(np.random.default_rng(3).uniform(0.0, 1000.0, 5000))
         index = PolyFitIndex.build(keys, aggregate=Aggregate.COUNT,
                                    delta=25.0, config=FAST)
+        release = threading.Event()
+
+        class SlowIndex:
+            """Blocks every batch until the client has seen its 503."""
+
+            def query_batch(self, lows, highs, guarantee=None):
+                release.wait(timeout=10.0)
+                return index.query_batch(lows, highs, guarantee)
 
         def scenario(url):
-            # A 2s coalescing tick cannot serve a 10ms deadline.
-            return _raw_post(url, "/query",
-                             {"low": 0.0, "high": 10.0, "deadline_ms": 10})
+            # An engine call that outlasts the budget cannot serve a 10ms
+            # deadline.
+            try:
+                return _raw_post(url, "/query",
+                                 {"low": 0.0, "high": 10.0, "deadline_ms": 10})
+            finally:
+                release.set()
 
         status, headers, body = _with_server(
-            lambda: EngineHost(index), scenario, max_wait_ms=2000.0
+            lambda: EngineHost(SlowIndex()), scenario
         )
         assert status == 503
         assert "deadline" in body["error"]
