@@ -8,13 +8,14 @@
 #                       tests), sharding/codec round-trips, the durability
 #                       fault tests (WAL crash-point sweep, degraded fleet
 #                       reads, fsck, serve resilience) and the scaled-down
-#                       shard-scaling bench (which emits
-#                       BENCH_shard_scaling.json); run before merging
+#                       systems benches (their artifacts land in the
+#                       git-ignored benchmarks/out/, never over the
+#                       committed BENCH_*.json); run before merging
 #                       changes that touch the query hot path
 #   make bench-batch  - full scalar-vs-batch throughput sweep (1-D methods
 #                       and the 2-D linearized-directory section), writes
 #                       BENCH_batch_throughput.json
-#   make bench-shards - full shard-scaling + load-time protocol (1M-query
+#   make bench-shards - full thread-pool shard-scaling protocol (1M-query
 #                       COUNT workload), writes BENCH_shard_scaling.json
 #   make bench-build  - full construction-time protocol (incremental/remez/
 #                       early-accept GS vs the LP-per-probe baseline up to

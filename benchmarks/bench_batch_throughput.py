@@ -5,7 +5,8 @@ evaluation (one ``searchsorted`` over all bounds, gathered coefficient rows,
 one vectorized Horner pass) instead of a per-query Python loop.  This driver
 measures queries/sec of both paths for PolyFit and the baselines, checks that
 the two paths agree to ``np.allclose``, and emits a structured
-``BENCH_batch_throughput.json`` artifact at the repository root.
+``BENCH_batch_throughput.json`` artifact at the repository root (the pytest
+run writes it under the git-ignored ``benchmarks/out/`` instead).
 
 Methods whose structure has no flat layout (B+tree over a sample, S2
 sequential sampling) answer batches with a per-query loop; they are included
@@ -42,6 +43,9 @@ from repro.bench import format_table, time_batch_per_query_ns, time_per_query_ns
 from repro.queries import queries_to_bounds
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_batch_throughput.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 WORKLOAD_SIZES = [10_000, 100_000]
 #: Scalar passes of loop-batch (or per-query-descent) methods are measured on
 #: at most this many queries (their per-query cost is workload-size
@@ -292,8 +296,11 @@ def _print_extreme_results(extreme: dict) -> None:
     )
 
 
-def _write_artifact(one_key: dict, two_key: dict, two_key_extreme: dict) -> None:
-    ARTIFACT_PATH.write_text(
+def _write_artifact(
+    one_key: dict, two_key: dict, two_key_extreme: dict, path: Path = ARTIFACT_PATH
+) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(
         json.dumps(
             {
                 **one_key,
@@ -304,7 +311,7 @@ def _write_artifact(one_key: dict, two_key: dict, two_key_extreme: dict) -> None
         )
         + "\n"
     )
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+    print(f"\nartifact written to {path}")
 
 
 def test_batch_throughput(tweet_data, osm_data):
@@ -317,7 +324,7 @@ def test_batch_throughput(tweet_data, osm_data):
     _print_results(results_2d, label="Batch throughput (two keys)")
     results_extreme = run_benchmark_2d_extreme(xs, ys)
     _print_extreme_results(results_extreme)
-    _write_artifact(results, results_2d, results_extreme)
+    _write_artifact(results, results_2d, results_extreme, SMOKE_ARTIFACT_PATH)
 
     for section in (results, results_2d):
         for name, sizes in section["methods"].items():

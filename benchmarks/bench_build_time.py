@@ -10,7 +10,7 @@ Measures the three construction accelerations landed together:
   <= 1 the segment *boundaries* must be identical (both evaluate the same
   exact feasibility predicate); for degree >= 2 the segment count must match
   and every per-segment error must stay within delta.
-* **2-D quadtree build** — serial vs frontier-parallel (thread executor)
+* **2-D quadtree build** — serial vs frontier-parallel (thread pool)
   build of the surface quadtree, which must be *bit-identical* (leaf Morton
   codes, rectangles, surface coefficients, exact payloads).
 * The old-vs-new ratio and segment/leaf counts are recorded for every cell
@@ -19,8 +19,9 @@ Measures the three construction accelerations landed together:
 
 Run directly (``python benchmarks/bench_build_time.py``) for the full
 protocol (n up to 10^6, where the degree-1 speedup gate of >= 10x applies),
-or through pytest (the smoke suite) with scaled-down sizes.  Both emit
-``BENCH_build_time.json`` at the repository root.
+or through pytest (the smoke suite) with scaled-down sizes. The standalone
+run writes ``BENCH_build_time.json`` at the repository root; the pytest run
+writes the same file under the git-ignored ``benchmarks/out/``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from repro.fitting.segmentation import greedy_segmentation
 from repro.functions.cumulative2d import build_cumulative_2d
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_build_time.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 
 DEGREES = [1, 2, 3]
 
@@ -144,13 +148,16 @@ def run_two_key(protocol: dict) -> dict:
         "executors": {},
     }
     signatures = {}
-    for executor in ("serial", "thread"):
-        config = QuadTreeConfig(delta=250.0, build_executor=executor)
+    # At least two workers, so even a one-core host runs the thread frontier.
+    workers = {"serial": 1, "thread": max(2, os.cpu_count() or 1)}
+    for executor, build_workers in workers.items():
+        config = QuadTreeConfig(delta=250.0, build_workers=build_workers)
         start = time.perf_counter()
         root = build_quadtree_surface(grid_x, grid_y, grid_cf, config)
         elapsed = time.perf_counter() - start
         signatures[executor] = quadtree_build_signature(root)
         section["executors"][executor] = {
+            "build_workers": build_workers,
             "seconds": round(elapsed, 4),
             "leaves": len(root.leaves()),
         }
@@ -252,16 +259,17 @@ def _check_results(results: dict, *, strict_timing: bool = True) -> None:
     )
 
 
-def _write_artifact(results: dict) -> None:
-    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {path}")
 
 
 def test_build_time_smoke():
     """Smoke protocol: scaled-down grid, same invariant gates + artifact."""
     results = run_benchmark(SMOKE_PROTOCOL)
     _print_results(results)
-    _write_artifact(results)
+    _write_artifact(results, SMOKE_ARTIFACT_PATH)
     _check_results(results, strict_timing=False)
 
 

@@ -24,8 +24,10 @@ monolithic batch throughput on this workload — scatter-gather overhead is
 bounded, not free.
 
 Run directly (``python benchmarks/bench_fleet_scaling.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes.
-Both emit ``BENCH_fleet_scaling.json`` at the repository root.
+protocol, or through pytest (the smoke suite) with scaled-down sizes. The
+standalone run writes ``BENCH_fleet_scaling.json`` at the repository root;
+the pytest run writes the same file under the git-ignored
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from repro.bench import format_table
 from repro.config import FitConfig, IndexConfig
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet_scaling.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 
 #: Workload sizes for the standalone (``__main__``) protocol; the pytest
 #: smoke entry point scales these down to keep CI fast.
@@ -234,9 +239,10 @@ def _print_results(results: dict) -> None:
     print(f"\nbit-identity vs monolithic (all aggregates): {gate}")
 
 
-def _write_artifact(results: dict) -> None:
-    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {path}")
 
 
 def _check_results(results: dict, *, strict_timing: bool = True) -> None:
@@ -258,7 +264,7 @@ def test_fleet_scaling():
     """Smoke protocol: scaled-down sizes, same gates + artifact."""
     results = run_benchmark(SMOKE_SIZES)
     _print_results(results)
-    _write_artifact(results)
+    _write_artifact(results, SMOKE_ARTIFACT_PATH)
     _check_results(results, strict_timing=False)
 
 

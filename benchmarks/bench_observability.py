@@ -30,8 +30,10 @@ Timing gates (standalone only): instrumented serve p50 and instrumented
 batch throughput within 5% of the uninstrumented baseline.
 
 Run directly (``python benchmarks/bench_observability.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes.  Both
-emit ``BENCH_observability.json`` at the repository root.
+protocol, or through pytest (the smoke suite) with scaled-down sizes. The
+standalone run writes ``BENCH_observability.json`` at the repository root;
+the pytest run writes the same file under the git-ignored
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ from repro.obs.tracing import Tracer
 from repro.serve import Coalescer, EngineHost
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_observability.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 
 #: Workload sizes for the standalone (``__main__``) protocol; the pytest
 #: smoke entry point scales these down to keep CI fast.
@@ -288,9 +293,10 @@ def _print_results(results: dict) -> None:
     )
 
 
-def _write_artifact(results: dict) -> None:
-    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {path}")
 
 
 def _check_results(results: dict, *, strict_timing: bool = True) -> None:
@@ -317,7 +323,7 @@ def test_observability_overhead():
     """Smoke protocol: scaled-down sizes, same gates + artifact."""
     results = run_benchmark(SMOKE_SIZES)
     _print_results(results)
-    _write_artifact(results)
+    _write_artifact(results, SMOKE_ARTIFACT_PATH)
     _check_results(results, strict_timing=False)
 
 

@@ -5,7 +5,7 @@ numbers isolate the coalescer + engine path from kernel TCP noise):
 
 * **idle round-trip** — median latency of sequential single requests
   through the :class:`~repro.serve.coalescer.Coalescer` (one loop turn +
-  a batch of one); the floor every loaded percentile is compared against.
+  a batch of one); the unloaded floor, reported next to the loaded levels.
 * **open-loop load** — arrivals scheduled at several offered QPS
   (independent of completions, so backlog shows up as latency, not as a
   slower generator); per-request latency is completion minus *scheduled*
@@ -24,16 +24,22 @@ answer is bit-identical to one direct ``query_batch`` call over the same
 workload — values, guarantee flags, fallback flags and error bounds.
 
 Timing gates (standalone only): saturation throughput >= 10x naive, and
-loaded p99 at the lightest offered level within 5x the idle round-trip.
+the coalesced p99 at the lightest offered level at or below the naive p99 at
+that level (both open-loop p99s include the generator's timer lateness; the
+naive run there uses the coalesced request count, so both percentiles rest
+on the same number of samples).
 
 Run directly (``python benchmarks/bench_serve_latency.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes.  Both
-emit ``BENCH_serve_latency.json`` at the repository root.
+protocol, or through pytest (the smoke suite) with scaled-down sizes. The
+standalone run writes ``BENCH_serve_latency.json`` at the repository root;
+the pytest run writes the same file under the git-ignored
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 from pathlib import Path
 
@@ -45,6 +51,9 @@ from repro.config import FitConfig, IndexConfig
 from repro.serve import Coalescer, EngineHost
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve_latency.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 
 #: Workload sizes for the standalone (``__main__``) protocol; the pytest
 #: smoke entry point scales these down to keep CI fast.
@@ -97,6 +106,18 @@ async def _idle_rtt_ms(host: EngineHost, probes: int) -> float:
     return round(float(np.median(samples)) * 1e3, 3)
 
 
+def _settle_gc() -> None:
+    """Run a full collection before a timed phase.
+
+    Each phase allocates enough to leave the collector part-way to its next
+    full (generation-2) pass, which takes 20-50 ms with a built index in the
+    heap.  Without this, that pass lands in whichever later phase crosses
+    the threshold — inside a ~20 ms saturation window it halves the
+    measured QPS — so a phase's number would depend on the phases before it.
+    """
+    gc.collect()
+
+
 def _naive_call(host: EngineHost, view, low: float, high: float):
     """The no-coalescing strawman: one size-1 engine call per request."""
     return host.execute(view, (np.array([low]), np.array([high])))
@@ -110,6 +131,7 @@ async def _open_loop(
     mode: str,
 ) -> dict:
     """Schedule arrivals at ``offered_qps``; latency is vs scheduled time."""
+    _settle_gc()
     loop = asyncio.get_running_loop()
     interval = 1.0 / offered_qps
     coalescer = Coalescer(host) if mode == "coalesced" else None
@@ -154,6 +176,7 @@ async def _saturation(
     host: EngineHost, lows: np.ndarray, highs: np.ndarray, mode: str
 ) -> tuple[float, list]:
     """Submit the whole workload at once; return achieved QPS (+ answers)."""
+    _settle_gc()
     loop = asyncio.get_running_loop()
     start = loop.time()
     if mode == "coalesced":
@@ -212,6 +235,8 @@ def run_benchmark(sizes: dict) -> dict:
     keys, lows, highs = _workload(sizes["records"], sizes["requests"], seed=17)
     host = _build_host(keys)
 
+    lightest = min(sizes["offered_qps"])
+
     async def protocol():
         idle = await _idle_rtt_ms(host, sizes["idle_probes"])
         levels = []
@@ -220,10 +245,12 @@ def run_benchmark(sizes: dict) -> dict:
             levels.append(
                 await _open_loop(host, lows, highs, offered, "coalesced")
             )
+            # At the lightest rate naive runs the full request count too: its
+            # p99 is the latency gate's reference, so it needs as many
+            # samples beyond the percentile as the coalesced p99 it judges.
+            n = lows.size if offered == lightest else naive_n
             levels.append(
-                await _open_loop(
-                    host, lows[:naive_n], highs[:naive_n], offered, "naive"
-                )
+                await _open_loop(host, lows[:n], highs[:n], offered, "naive")
             )
         coalesced_qps, answers = await _saturation(host, lows, highs, "coalesced")
         naive_qps, _ = await _saturation(
@@ -235,12 +262,11 @@ def run_benchmark(sizes: dict) -> dict:
     idle_rtt_ms, levels, coalesced_qps, naive_qps, identical = asyncio.run(
         protocol()
     )
-    lightest = min(sizes["offered_qps"])
-    lightest_p99 = next(
-        level["p99_ms"]
+    lightest_p99 = {
+        level["mode"]: level["p99_ms"]
         for level in levels
-        if level["mode"] == "coalesced" and level["offered_qps"] == lightest
-    )
+        if level["offered_qps"] == lightest
+    }
     return {
         "description": (
             "serving latency/throughput: request coalescing vs one engine "
@@ -256,7 +282,8 @@ def run_benchmark(sizes: dict) -> dict:
             "naive_qps": round(naive_qps),
             "speedup": round(coalesced_qps / naive_qps, 1),
         },
-        "lightest_load_p99_ms": lightest_p99,
+        "lightest_load_p99_ms": lightest_p99["coalesced"],
+        "lightest_load_naive_p99_ms": lightest_p99["naive"],
         "cache": _cache_section(keys, lows, highs),
         "gates": {
             "coalesced_bit_identical_to_direct_batch": identical,
@@ -298,9 +325,10 @@ def _print_results(results: dict) -> None:
     )
 
 
-def _write_artifact(results: dict) -> None:
-    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {path}")
 
 
 def _check_results(results: dict, *, strict_timing: bool = True) -> None:
@@ -317,10 +345,13 @@ def _check_results(results: dict, *, strict_timing: bool = True) -> None:
             "coalescing should buy >= 10x saturation throughput, "
             f"got {saturation['speedup']}x"
         )
-        budget = 5.0 * results["idle_rtt_ms"]
+        # Both open-loop p99s carry the same generator timer lateness, so
+        # the naive mode at the same offered rate is a like-for-like budget.
+        budget = results["lightest_load_naive_p99_ms"]
         assert results["lightest_load_p99_ms"] <= budget, (
-            f"p99 at the lightest load ({results['lightest_load_p99_ms']} ms) "
-            f"exceeds 5x the idle round-trip ({budget} ms)"
+            f"coalesced p99 at the lightest load "
+            f"({results['lightest_load_p99_ms']} ms) exceeds the naive p99 "
+            f"at the same offered rate ({budget} ms)"
         )
 
 
@@ -328,7 +359,7 @@ def test_serve_latency():
     """Smoke protocol: scaled-down sizes, same gates + artifact."""
     results = run_benchmark(SMOKE_SIZES)
     _print_results(results)
-    _write_artifact(results)
+    _write_artifact(results, SMOKE_ARTIFACT_PATH)
     _check_results(results, strict_timing=False)
 
 

@@ -1,16 +1,10 @@
-"""Shard-scaling and zero-copy load-time benchmark.
+"""Shard-scaling benchmark.
 
-Measures the two halves of the parallel read path landed together:
-
-* **qps vs shards** — 1-D and 2-D COUNT/SUM batch throughput through
-  :class:`~repro.queries.sharding.ShardedQueryEngine` at 1, 2 and 4 shards,
-  for both the thread pool (shared in-process directory; NumPy releases the
-  GIL in the large kernels) and the process pool (workers memory-map the
-  same :mod:`repro.index.codec` file, sharing directory pages).  Every
-  sharded result is checked *bit-identical* to the serial batch path.
-* **load time, JSON vs binary** — wall time of :func:`repro.load_index` on
-  the JSON payload vs the binary codec with ``mmap`` and eager reads, and
-  an ``allclose`` check that all loaded clones answer the same workload.
+Measures 1-D and 2-D COUNT/SUM batch throughput through
+:class:`~repro.queries.sharding.ShardedQueryEngine` at 1, 2 and 4 shards on
+its thread pool (shared in-process directory; NumPy releases the GIL in the
+large kernels).  Every sharded result is checked *bit-identical* to the
+serial batch path.
 
 Shard speedup is hardware-bound: the artifact records ``cpu_count`` and the
 throughput assertions only apply where enough cores exist (a single-core
@@ -18,34 +12,28 @@ container can still verify bit-identical merging, but not scaling).
 
 Run directly (``python benchmarks/bench_shard_scaling.py``) for the full
 1M-query protocol, or through pytest (the smoke suite) with scaled-down
-workloads.  Both emit ``BENCH_shard_scaling.json`` at the repository root.
+workloads. The standalone run writes ``BENCH_shard_scaling.json`` at the
+repository root; the pytest run writes the same file under the git-ignored
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro import (
-    Aggregate,
-    Guarantee,
-    PolyFit2DIndex,
-    PolyFitIndex,
-    load_index,
-    load_index_binary,
-    save_index,
-    save_index_binary,
-)
+from repro import Aggregate, Guarantee, PolyFit2DIndex, PolyFitIndex
 from repro.bench import format_table, sweep_shard_counts, time_callable_ns
 from repro.queries.sharding import ShardedQueryEngine
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_shard_scaling.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 SHARD_COUNTS = [1, 2, 4]
-EXECUTORS = ["thread", "process"]
 
 #: Workload sizes for the standalone (``__main__``) protocol; the pytest
 #: smoke entry point scales these down to keep CI fast.
@@ -75,189 +63,98 @@ def _rectangle_bounds(
     )
 
 
-def _shard_section(index, index_path: str, bounds, *, repeats: int) -> dict:
-    """Sweep shard counts x executors for one index; verify bit-identical."""
+def _shard_section(index, bounds, *, repeats: int) -> dict:
+    """Sweep shard counts for one index; verify bit-identical."""
     num_queries = len(bounds[0])
     serial = index.estimate_batch(*bounds)
     serial_ns = time_callable_ns(lambda: index.estimate_batch(*bounds), repeats=repeats)
     serial_qps = round(num_queries / (serial_ns / 1e9))
-    section: dict = {
-        "num_queries": num_queries,
-        "serial_qps": serial_qps,
-        "executors": {},
-    }
-    for executor in EXECUTORS:
-        timings = sweep_shard_counts(
-            index=index,
-            index_path=index_path if executor == "process" else None,
-            bounds=bounds,
-            shard_counts=SHARD_COUNTS,
-            executor=executor,
-            repeats=repeats,
-        )
-        per_count: dict = {}
-        for count, timing in timings.items():
-            with ShardedQueryEngine(
-                index=index,
-                index_path=index_path if executor == "process" else None,
-                num_shards=count,
-                executor=executor,
-                min_queries_per_shard=1,
-            ) as engine:
-                identical = bool(np.array_equal(engine.estimate_batch(*bounds), serial))
-            qps = round(1e9 / timing.per_query_ns)
-            per_count[str(count)] = {
-                "qps": qps,
-                "speedup_vs_serial": round(qps / serial_qps, 2),
-                "identical_to_serial": identical,
-            }
-        section["executors"][executor] = per_count
-    return section
+    timings = sweep_shard_counts(
+        index, bounds=bounds, shard_counts=SHARD_COUNTS, repeats=repeats
+    )
+    per_count: dict = {}
+    for count, timing in timings.items():
+        with ShardedQueryEngine(index, num_shards=count, min_queries_per_shard=1) as engine:
+            identical = bool(np.array_equal(engine.estimate_batch(*bounds), serial))
+        qps = round(1e9 / timing.per_query_ns)
+        per_count[str(count)] = {
+            "qps": qps,
+            "speedup_vs_serial": round(qps / serial_qps, 2),
+            "identical_to_serial": identical,
+        }
+    return {"num_queries": num_queries, "serial_qps": serial_qps, "shards": per_count}
 
 
-def run_shard_scaling(sizes: dict, *, repeats: int = 2) -> dict:
-    """The qps-vs-shards sections for 1-D COUNT/SUM and 2-D COUNT/SUM."""
+def run_benchmark(sizes: dict, *, repeats: int = 2) -> dict:
+    """Full artifact dict: qps vs shards for 1-D COUNT/SUM and 2-D COUNT/SUM."""
     from repro.datasets import osm_points, tweet_latitudes
 
     keys, measures = tweet_latitudes(60_000, seed=101)
     xs, ys = osm_points(80_000, seed=103)
     weights = np.random.default_rng(104).uniform(0.5, 2.0, xs.size)
 
-    results: dict = {"one_key": {}, "two_key": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        one_specs = {
-            "COUNT": (
-                PolyFitIndex.build(
-                    keys, aggregate=Aggregate.COUNT, guarantee=Guarantee.absolute(100.0)
-                ),
-                sizes["one_key_count"],
+    one_key = {
+        "COUNT": (
+            PolyFitIndex.build(
+                keys, aggregate=Aggregate.COUNT, guarantee=Guarantee.absolute(100.0)
             ),
-            "SUM": (
-                PolyFitIndex.build(
-                    keys, measures, aggregate=Aggregate.SUM, delta=100.0
-                ),
-                sizes["one_key_sum"],
-            ),
-        }
-        for name, (index, num_queries) in one_specs.items():
-            path = os.path.join(tmp, f"one_{name}.pfbin")
-            save_index_binary(index, path)
-            bounds = _range_bounds(keys, num_queries, seed=271)
-            results["one_key"][name] = _shard_section(
-                index, path, bounds, repeats=repeats
-            )
-
-        two_specs = {
-            "COUNT": PolyFit2DIndex.build(
-                xs, ys, guarantee=Guarantee.absolute(1000.0), grid_resolution=128
-            ),
-            "SUM": PolyFit2DIndex.build(
-                xs,
-                ys,
-                measures=weights,
-                aggregate=Aggregate.SUM,
-                delta=250.0,
-                grid_resolution=128,
-            ),
-        }
-        for name, index in two_specs.items():
-            path = os.path.join(tmp, f"two_{name}.pfbin")
-            save_index_binary(index, path)
-            bounds = _rectangle_bounds(xs, ys, sizes["two_key"], seed=271)
-            results["two_key"][name] = _shard_section(
-                index, path, bounds, repeats=repeats
-            )
-    return results
-
-
-def run_load_time(*, repeats: int = 3) -> dict:
-    """JSON vs binary (mmap and eager) load time for 1-D and 2-D indexes."""
-    from repro.datasets import osm_points, tweet_latitudes
-
-    keys, _ = tweet_latitudes(60_000, seed=101)
-    xs, ys = osm_points(80_000, seed=103)
-    indexes = {
-        "one_key": PolyFitIndex.build(
-            keys, aggregate=Aggregate.COUNT, guarantee=Guarantee.absolute(100.0)
+            sizes["one_key_count"],
         ),
-        "two_key": PolyFit2DIndex.build(
+        "SUM": (
+            PolyFitIndex.build(keys, measures, aggregate=Aggregate.SUM, delta=100.0),
+            sizes["one_key_sum"],
+        ),
+    }
+    two_key = {
+        "COUNT": PolyFit2DIndex.build(
             xs, ys, guarantee=Guarantee.absolute(1000.0), grid_resolution=128
         ),
-    }
-    section: dict = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, index in indexes.items():
-            json_path = os.path.join(tmp, f"{name}.json")
-            binary_path = os.path.join(tmp, f"{name}.pfbin")
-            save_index(index, json_path, format="json")
-            save_index_binary(index, binary_path)
-            json_ns = time_callable_ns(lambda: load_index(json_path), repeats=repeats)
-            mmap_ns = time_callable_ns(
-                lambda: load_index_binary(binary_path, mmap=True), repeats=repeats
-            )
-            eager_ns = time_callable_ns(
-                lambda: load_index_binary(binary_path, mmap=False), repeats=repeats
-            )
-            if name == "one_key":
-                bounds = _range_bounds(keys, 5_000, seed=31)
-            else:
-                bounds = _rectangle_bounds(xs, ys, 5_000, seed=31)
-            reference = indexes[name].estimate_batch(*bounds)
-            clones = {
-                "json": load_index(json_path),
-                "binary_mmap": load_index_binary(binary_path, mmap=True),
-                "binary_eager": load_index_binary(binary_path, mmap=False),
-            }
-            allclose = all(
-                np.allclose(clone.estimate_batch(*bounds), reference, equal_nan=True)
-                for clone in clones.values()
-            )
-            section[name] = {
-                "json_bytes": os.path.getsize(json_path),
-                "binary_bytes": os.path.getsize(binary_path),
-                "json_load_ms": round(json_ns / 1e6, 3),
-                "binary_mmap_load_ms": round(mmap_ns / 1e6, 3),
-                "binary_eager_load_ms": round(eager_ns / 1e6, 3),
-                "mmap_speedup_vs_json": round(json_ns / mmap_ns, 2),
-                "queries_allclose": bool(allclose),
-            }
-    return section
-
-
-def run_benchmark(sizes: dict, *, repeats: int = 2) -> dict:
-    """Full artifact dict: shard scaling plus load-time comparison."""
-    results = {
-        "description": (
-            "batch qps vs num_shards (thread/process executors) and "
-            "JSON vs zero-copy binary index load time"
+        "SUM": PolyFit2DIndex.build(
+            xs,
+            ys,
+            measures=weights,
+            aggregate=Aggregate.SUM,
+            delta=250.0,
+            grid_resolution=128,
         ),
+    }
+    return {
+        "description": "batch qps vs num_shards on the thread-pool shard executor",
         "cpu_count": os.cpu_count(),
         "shard_counts": SHARD_COUNTS,
+        "one_key": {
+            name: _shard_section(
+                index, _range_bounds(keys, num_queries, seed=271), repeats=repeats
+            )
+            for name, (index, num_queries) in one_key.items()
+        },
+        "two_key": {
+            name: _shard_section(
+                index,
+                _rectangle_bounds(xs, ys, sizes["two_key"], seed=271),
+                repeats=repeats,
+            )
+            for name, index in two_key.items()
+        },
     }
-    results.update(run_shard_scaling(sizes, repeats=repeats))
-    results["load_time"] = run_load_time(repeats=max(repeats, 2))
-    return results
 
 
 def _print_results(results: dict) -> None:
     for dims in ("one_key", "two_key"):
         for aggregate, section in results[dims].items():
-            rows = []
-            for executor, per_count in section["executors"].items():
-                for count, entry in per_count.items():
-                    rows.append(
-                        [
-                            executor,
-                            count,
-                            entry["qps"],
-                            f"{entry['speedup_vs_serial']}x",
-                            "yes" if entry["identical_to_serial"] else "NO",
-                        ]
-                    )
+            rows = [
+                [
+                    count,
+                    entry["qps"],
+                    f"{entry['speedup_vs_serial']}x",
+                    "yes" if entry["identical_to_serial"] else "NO",
+                ]
+                for count, entry in section["shards"].items()
+            ]
             print()
             print(
                 format_table(
-                    ["executor", "shards", "qps", "vs serial", "identical"],
+                    ["shards", "qps", "vs serial", "identical"],
                     rows,
                     title=(
                         f"{dims} {aggregate}, {section['num_queries']} queries "
@@ -266,66 +163,36 @@ def _print_results(results: dict) -> None:
                     ),
                 )
             )
-    rows = [
-        [
-            name,
-            entry["json_load_ms"],
-            entry["binary_mmap_load_ms"],
-            entry["binary_eager_load_ms"],
-            f"{entry['mmap_speedup_vs_json']}x",
-            "yes" if entry["queries_allclose"] else "NO",
-        ]
-        for name, entry in results["load_time"].items()
-    ]
-    print()
-    print(
-        format_table(
-            ["index", "json ms", "mmap ms", "eager ms", "mmap speedup", "allclose"],
-            rows,
-            title="index load time, JSON vs binary codec",
-        )
-    )
 
 
-def _write_artifact(results: dict) -> None:
-    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {path}")
 
 
 def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Invariant checks: bit-identical sharding, faithful codec, scaling.
+    """Invariant checks: bit-identical sharding, and scaling where cores exist.
 
-    Correctness gates (bit-identity, allclose) always apply.  Wall-clock
-    gates — the >= 5x mmap-vs-JSON load speedup and the multi-core shard
-    speedup — are skipped with ``strict_timing=False`` (the CI smoke run on
-    shared noisy runners) and enforced by the standalone protocol.
+    The bit-identity gate always applies.  The multi-core shard speedup gate
+    is skipped with ``strict_timing=False`` (the CI smoke run on shared noisy
+    runners) and enforced by the standalone protocol.
     """
     for dims in ("one_key", "two_key"):
         for aggregate, section in results[dims].items():
-            for executor, per_count in section["executors"].items():
-                for count, entry in per_count.items():
-                    assert entry["identical_to_serial"], (
-                        f"{dims}/{aggregate}: {executor} x{count} shards diverged "
-                        "from the serial batch path"
-                    )
-    for name, entry in results["load_time"].items():
-        assert entry["queries_allclose"], f"{name}: loaded clones disagree"
-        if strict_timing:
-            assert entry["mmap_speedup_vs_json"] >= 5.0, (
-                f"{name}: binary mmap load only {entry['mmap_speedup_vs_json']}x "
-                "faster than JSON (expected >= 5x)"
-            )
+            for count, entry in section["shards"].items():
+                assert entry["identical_to_serial"], (
+                    f"{dims}/{aggregate}: x{count} shards diverged "
+                    "from the serial batch path"
+                )
     cpus = results["cpu_count"] or 1
     if strict_timing and cpus >= 4:
-        count_section = results["one_key"]["COUNT"]
-        best = count_section["executors"]["process"]["4"]["speedup_vs_serial"]
-        assert best >= 1.5, (
-            f"expected >= 1.5x at 4 process shards on {cpus} cpus, got {best}x"
-        )
+        best = results["one_key"]["COUNT"]["shards"]["4"]["speedup_vs_serial"]
+        assert best >= 1.5, f"expected >= 1.5x at 4 shards on {cpus} cpus, got {best}x"
     elif strict_timing:
         print(
-            f"\nNOTE: {cpus} cpu(s) available - shard *speedup* cannot "
-            "manifest here; bit-identity and load-time gates still apply."
+            f"\nNOTE: {cpus} cpu(s) available - the 4-shard speedup gate "
+            "needs >= 4; the bit-identity gate still applies."
         )
 
 
@@ -333,7 +200,7 @@ def test_shard_scaling():
     """Smoke protocol: scaled-down workloads, same invariants + artifact."""
     results = run_benchmark(SMOKE_SIZES, repeats=1)
     _print_results(results)
-    _write_artifact(results)
+    _write_artifact(results, SMOKE_ARTIFACT_PATH)
     _check_results(results, strict_timing=False)
 
 

@@ -23,8 +23,10 @@ Correctness gates (always enforced, smoke and standalone):
   exactly (COUNT is integer arithmetic end to end).
 
 Run directly (``python benchmarks/bench_update_throughput.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes.  Both
-emit ``BENCH_update_throughput.json`` at the repository root.
+protocol, or through pytest (the smoke suite) with scaled-down sizes. The
+standalone run writes ``BENCH_update_throughput.json`` at the repository
+root; the pytest run writes the same file under the git-ignored
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from repro.bench import format_table, time_callable_ns
 from repro.config import FitConfig, IndexConfig
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_update_throughput.json"
+#: The pytest entry point is a smoke run: it writes under the git-ignored
+#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
+SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
 
 #: Workload sizes for the standalone (``__main__``) protocol; the pytest
 #: smoke entry point scales these down to keep CI fast.
@@ -271,9 +276,10 @@ def _print_results(results: dict) -> None:
                               "faster than rebuild)")))
 
 
-def _write_artifact(results: dict) -> None:
-    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {ARTIFACT_PATH}")
+def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {path}")
 
 
 def _check_results(results: dict, *, strict_timing: bool = True) -> None:
@@ -292,7 +298,7 @@ def test_update_throughput():
     """Smoke protocol: scaled-down sizes, same gates + artifact."""
     results = run_benchmark(SMOKE_SIZES, repeats=1)
     _print_results(results)
-    _write_artifact(results)
+    _write_artifact(results, SMOKE_ARTIFACT_PATH)
     _check_results(results, strict_timing=False)
 
 

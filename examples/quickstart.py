@@ -111,13 +111,14 @@ def main() -> None:
     # 6. Persist and reload.
     # ------------------------------------------------------------------ #
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tweet_count_index.json"
+        path = Path(tmp) / "tweet_count_index.pfbin"
         save_index(index, path)
         restored = load_index(path)
         probe = RangeQuery(-30.0, 30.0, Aggregate.COUNT)
         assert np.isclose(restored.query_value(probe.low, probe.high),
                           index.query_value(probe.low, probe.high))
-        print(f"\nindex serialized to JSON ({path.stat().st_size / 1024:.1f} KiB) and reloaded OK")
+        size_kib = path.stat().st_size / 1024
+        print(f"\nindex saved to {path.name} ({size_kib:.1f} KiB) and reloaded OK")
 
 
 if __name__ == "__main__":

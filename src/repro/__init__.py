@@ -28,10 +28,10 @@ layout (50-100x the throughput of the per-query loop):
 >>> batch.values.shape
 (3,)
 
-Large workloads can additionally be fanned out across threads or processes
-with :class:`ShardedQueryEngine` (bit-identical to the serial path), and
-built indexes persist through either the portable JSON codec or the
-zero-copy binary codec (:func:`save_index_binary` / mmap loading).
+Large workloads can additionally be fanned out across threads with
+:class:`ShardedQueryEngine` (bit-identical to the serial path), and built
+indexes persist through one zero-copy binary codec (:func:`save_index` /
+mmap'd :func:`load_index`).
 
 See README.md for the quickstart and benchmark entry points.
 """
@@ -77,10 +77,6 @@ from .index import (
     PolyFit2DIndex,
     save_index,
     load_index,
-    save_index_binary,
-    load_index_binary,
-    index_to_dict,
-    index_from_dict,
 )
 from .stream import (
     CompactionPolicy,
@@ -161,10 +157,6 @@ __all__ = [
     "PolyFit2DIndex",
     "save_index",
     "load_index",
-    "save_index_binary",
-    "load_index_binary",
-    "index_to_dict",
-    "index_from_dict",
     # streaming ingestion
     "CompactionPolicy",
     "DeltaBuffer",

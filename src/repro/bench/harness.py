@@ -142,23 +142,19 @@ def time_batch_per_query_ns(
 
 
 def sweep_shard_counts(
-    index: object | None = None,
+    index: object,
     *,
-    index_path: str | None = None,
     bounds: Sequence[object],
     shard_counts: Sequence[int],
-    executor: str = "thread",
     method: str = "estimate_batch",
     repeats: int = 3,
     min_queries_per_shard: int = 1,
-    mmap: bool = True,
 ) -> dict[int, MethodTiming]:
     """Time one batch method across shard counts — the ``num_shards`` knob.
 
     For every entry of ``shard_counts`` a fresh
     :class:`~repro.queries.sharding.ShardedQueryEngine` is built over
-    ``index`` (and/or a persisted ``index_path`` for process executors),
-    the chosen ``method`` is timed on the full ``bounds`` workload with
+    ``index``, the chosen ``method`` is timed on the full ``bounds`` workload with
     :func:`time_batch_per_query_ns`, and the engine's pool is torn down
     before the next count runs.  ``min_queries_per_shard`` defaults to 1 so
     the sweep always exercises the parallel path being measured.
@@ -169,19 +165,16 @@ def sweep_shard_counts(
     timings: dict[int, MethodTiming] = {}
     for count in shard_counts:
         with ShardedQueryEngine(
-            index=index,
-            index_path=index_path,
+            index,
             num_shards=count,
-            executor=executor,
             min_queries_per_shard=min_queries_per_shard,
-            mmap=mmap,
         ) as engine:
             run_batch = getattr(engine, method)
             timings[count] = time_batch_per_query_ns(
                 lambda: run_batch(*bounds),
                 num_queries,
                 repeats=repeats,
-                method=f"{method}[shards={count},{executor}]",
+                method=f"{method}[shards={count}]",
             )
     return timings
 

@@ -4,7 +4,8 @@ Provides ten subcommands mirroring a typical deployment workflow:
 
 ``build``
     Load a (key, measure) CSV, build a PolyFit index for the requested
-    aggregate and guarantee, and write it to a JSON file.
+    aggregate and guarantee, and write it to a binary index file
+    (:mod:`repro.index.codec`).
 
 ``query``
     Load a previously built index and answer one range query.
@@ -50,17 +51,17 @@ Provides ten subcommands mirroring a typical deployment workflow:
 
 ``fsck``
     Verify durable artifacts offline — codec files (per-array checksums),
-    write-ahead logs (frame CRCs, torn-tail classification), fleet
-    directories (manifest/partition consistency) and JSON indexes.  Exits
-    0 when clean, 1 when any target has integrity problems.
+    write-ahead logs (frame CRCs, torn-tail classification) and fleet
+    directories (manifest/partition consistency).  Exits 0 when clean, 1
+    when any target has integrity problems.
 
 Example
 -------
 ::
 
-    python -m repro.cli build ticks.csv index.json --aggregate max --eps-abs 50
-    python -m repro.cli query index.json 1000 2000 --eps-abs 50
-    python -m repro.cli info index.json
+    python -m repro.cli build ticks.csv index.pfbin --aggregate max --eps-abs 50
+    python -m repro.cli query index.pfbin 1000 2000 --eps-abs 50
+    python -m repro.cli info index.pfbin
     python -m repro.cli ingest --synthetic 20000 --delta 50 --max-buffer 2048
     python -m repro.cli fleet-build fleet/ --synthetic 100000 --delta 50 --num-partitions 8
     python -m repro.cli fleet-stats fleet/
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = subparsers.add_parser("build", help="build an index from a CSV file")
     build.add_argument("input_csv", help="CSV file with key and measure columns")
-    build.add_argument("output_index", help="path of the JSON index to write")
+    build.add_argument("output_index", help="path of the index file to write (.pfbin)")
     build.add_argument("--aggregate", choices=[a.value for a in Aggregate],
                        default="count", help="aggregate the index answers")
     build.add_argument("--key-column", type=int, default=0)
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-segment budget (for relative-error workloads)")
 
     query = subparsers.add_parser("query", help="answer one range query")
-    query.add_argument("index_file", help="JSON index written by `build`")
+    query.add_argument("index_file", help="index file written by `build`")
     query.add_argument("low", type=float, help="lower key bound (inclusive)")
     query.add_argument("high", type=float, help="upper key bound (inclusive)")
     guarantee = query.add_mutually_exclusive_group()
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     guarantee.add_argument("--eps-rel", type=float, help="relative error guarantee")
 
     info = subparsers.add_parser("info", help="describe a built index")
-    info.add_argument("index_file", help="JSON index written by `build`")
+    info.add_argument("index_file", help="index file written by `build`")
 
     ingest = subparsers.add_parser(
         "ingest", help="demo streaming ingestion: append -> query -> compact"
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve an index over HTTP with request coalescing"
     )
     serve.add_argument("index_file", nargs="?", default=None,
-                       help="built index (JSON or binary codec) or a fleet "
+                       help="built index file (.pfbin) or a fleet "
                             "directory; omit with --synthetic")
     serve.add_argument("--synthetic", type=int, default=None, metavar="N",
                        help="serve an updatable index built over N synthetic records")
@@ -295,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "the client's retry loop")
 
     fsck = subparsers.add_parser(
-        "fsck", help="verify codec files, WALs, fleet dirs and JSON indexes"
+        "fsck", help="verify codec files, WALs and fleet dirs"
     )
     fsck.add_argument("targets", nargs="+",
-                      help="paths to verify: .pfbin files, WAL files, fleet "
-                           "directories or JSON indexes")
+                      help="paths to verify: .pfbin files, WAL files or "
+                           "fleet directories")
     fsck.add_argument("--json", action="store_true",
                       help="emit the full report as JSON instead of text")
 

@@ -177,16 +177,15 @@ class QuadTreeConfig:
         Surface-fit solver: ``"auto"`` (LP with the interpolation fast path),
         ``"lp"``, or ``"lstsq"``.  No bivariate Remez exists (there is no 2-D
         equioscillation theory), so the LP remains the exact surface solver.
-    build_executor:
-        How the refinement frontier is evaluated: ``"serial"`` (recursive,
-        the reference), ``"thread"`` or ``"process"``.  Cells on the frontier
-        are independent, so parallel builds are bit-identical to the serial
-        one — the executor only changes wall-clock time.
     build_workers:
-        Worker count for parallel builds; ``None`` uses the CPU count.
+        ``1`` (default) refines the tree by serial recursion, the
+        reference; a larger value evaluates each refinement frontier on a
+        thread pool of that size.  Cells on the frontier are independent,
+        so parallel builds are bit-identical to the serial one — the worker
+        count only changes wall-clock time.
 
-    The build knobs (``solver``/``build_executor``/``build_workers``) only
-    affect construction; they are not serialized with the index.
+    The build knobs (``solver``/``build_workers``) only affect
+    construction; they are not serialized with the index.
     """
 
     delta: float = 250.0
@@ -194,8 +193,7 @@ class QuadTreeConfig:
     min_cell_points: int = 16
     degree: int = DEFAULT_DEGREE
     solver: str = "auto"
-    build_executor: str = "serial"
-    build_workers: int | None = None
+    build_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.delta < 0:
@@ -208,7 +206,5 @@ class QuadTreeConfig:
             raise QueryError("degree must be >= 0")
         if self.solver not in ("auto", "lp", "lstsq"):
             raise QueryError(f"unknown surface solver {self.solver!r}")
-        if self.build_executor not in ("serial", "thread", "process"):
-            raise QueryError(f"unknown build executor {self.build_executor!r}")
-        if self.build_workers is not None and self.build_workers < 1:
+        if self.build_workers < 1:
             raise QueryError("build_workers must be >= 1")

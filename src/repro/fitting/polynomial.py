@@ -130,23 +130,6 @@ class Polynomial1D:
         best_index = int(np.argmax(values)) if maximize else int(np.argmin(values))
         return candidates[best_index], float(values[best_index])
 
-    def to_dict(self) -> dict:
-        """Serialize to plain Python types (for JSON round-tripping)."""
-        return {
-            "coeffs": self.coeffs.tolist(),
-            "shift": float(self.shift),
-            "scale": float(self.scale),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Polynomial1D":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            coeffs=np.asarray(payload["coeffs"], dtype=np.float64),
-            shift=float(payload["shift"]),
-            scale=float(payload["scale"]),
-        )
-
     @property
     def num_parameters(self) -> int:
         """Number of stored float parameters (coefficients + scaling)."""
@@ -499,25 +482,4 @@ class SurfaceBank:
             scale_u=arrays["scale_u"],
             shift_v=arrays["shift_v"],
             scale_v=arrays["scale_v"],
-        )
-
-    def to_dict(self) -> dict:
-        """Serialize the flat arrays to plain Python types."""
-        return {
-            "coeffs": self._coeffs.tolist(),
-            "shift_u": self._shift_u.tolist(),
-            "scale_u": self._scale_u.tolist(),
-            "shift_v": self._shift_v.tolist(),
-            "scale_v": self._scale_v.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SurfaceBank":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            coeffs=np.asarray(payload["coeffs"], dtype=np.float64),
-            shift_u=np.asarray(payload["shift_u"], dtype=np.float64),
-            scale_u=np.asarray(payload["scale_u"], dtype=np.float64),
-            shift_v=np.asarray(payload["shift_v"], dtype=np.float64),
-            scale_v=np.asarray(payload["scale_v"], dtype=np.float64),
         )

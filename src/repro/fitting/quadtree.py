@@ -14,16 +14,14 @@ cell's rectangle: it slices the cell's CF-grid samples directly out of the
 sorted grid arrays (two ``searchsorted`` probes per axis instead of
 full-grid boolean masks) and decides leaf-vs-split.  The serial build
 recurses over it; the parallel build evaluates whole refinement frontiers of
-it at once across a thread or process pool — cells on a frontier are
-independent, so the parallel tree is bit-identical to the serial one
-regardless of scheduling.
+it at once across a thread pool — cells on a frontier are independent, so
+the parallel tree is bit-identical to the serial one regardless of
+scheduling.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -307,7 +305,7 @@ def build_quadtree_surface(
         y_high=float(grid_y[-1]),
         depth=0,
     )
-    if config.build_executor == "serial":
+    if config.build_workers == 1:
         _refine_cell(root, grid_x, grid_y, grid_cf, config)
     else:
         _refine_frontier_parallel(root, grid_x, grid_y, grid_cf, config)
@@ -438,22 +436,6 @@ def _refine_cell(
 # Parallel frontier build
 # --------------------------------------------------------------------- #
 
-# Per-worker build context for the process executor (initializer-installed so
-# the grids cross the process boundary once per worker, not once per cell).
-_BUILD_CONTEXT = None
-
-
-def _build_worker_init(
-    grid_x: np.ndarray, grid_y: np.ndarray, grid_cf: np.ndarray, config: QuadTreeConfig
-) -> None:
-    global _BUILD_CONTEXT
-    _BUILD_CONTEXT = (grid_x, grid_y, grid_cf, config)
-
-
-def _build_worker_outcome(spec: tuple) -> tuple:
-    return _cell_outcome(spec, *_BUILD_CONTEXT)
-
-
 def _refine_frontier_parallel(
     root: QuadCell,
     grid_x: np.ndarray,
@@ -461,34 +443,20 @@ def _refine_frontier_parallel(
     grid_cf: np.ndarray,
     config: QuadTreeConfig,
 ) -> None:
-    """Breadth-first refinement with each frontier fanned across a pool.
+    """Breadth-first refinement with each frontier fanned across a thread pool.
 
     Every frontier cell's outcome depends only on its own rectangle, so the
     fits are evaluated concurrently and applied in frontier order — the
     resulting tree is bit-identical to the serial recursion.  Threads share
     the grids in place (the LP/lstsq kernels release the GIL inside
-    scipy/BLAS); process workers receive them once via the pool initializer,
-    using fork's copy-on-write pages where the platform provides them.
+    scipy/BLAS).
     """
-    workers = config.build_workers or os.cpu_count() or 1
-    if config.build_executor == "thread":
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-build")
-        outcome = partial(
-            _cell_outcome, grid_x=grid_x, grid_y=grid_y, grid_cf=grid_cf, config=config
-        )
-    else:
-        context = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_build_worker_init,
-            initargs=(grid_x, grid_y, grid_cf, config),
-        )
-        outcome = _build_worker_outcome
+    pool = ThreadPoolExecutor(
+        max_workers=config.build_workers, thread_name_prefix="repro-build"
+    )
+    outcome = partial(
+        _cell_outcome, grid_x=grid_x, grid_y=grid_y, grid_cf=grid_cf, config=config
+    )
     try:
         frontier = [root]
         while frontier:

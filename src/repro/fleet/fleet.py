@@ -141,7 +141,6 @@ class IndexFleet:
         config: IndexConfig | None = None,
         policy: FleetPolicy | None = None,
         num_shards: int = 1,
-        executor: str = "serial",
         failure_policy: str = "fail_fast",
     ) -> None:
         if len(partitions) != partition_map.num_partitions:
@@ -156,7 +155,6 @@ class IndexFleet:
         self._config = config
         self._policy = policy or FleetPolicy()
         self._num_shards = int(num_shards)
-        self._executor = executor
         if failure_policy not in ("fail_fast", "degrade"):
             raise DataError(
                 f"failure_policy must be 'fail_fast' or 'degrade', "
@@ -191,7 +189,6 @@ class IndexFleet:
         splits: np.ndarray | list[float] | None = None,
         num_partitions: int = 4,
         num_shards: int = 1,
-        executor: str = "serial",
         failure_policy: str = "fail_fast",
     ) -> "IndexFleet":
         """Build a fleet from raw records.
@@ -217,7 +214,7 @@ class IndexFleet:
             When ``splits`` is omitted, partition boundaries are placed at
             balanced quantiles of the *distinct* keys (duplicate-heavy data
             cannot force empty partitions).
-        num_shards, executor:
+        num_shards:
             Query-parallelism applied under the fan-out (each partition
             view wrapped in a :class:`~repro.queries.sharding.
             ShardedQueryEngine` when ``num_shards > 1``).
@@ -267,7 +264,6 @@ class IndexFleet:
             config=config,
             policy=policy,
             num_shards=num_shards,
-            executor=executor,
             failure_policy=failure_policy,
         )
 
@@ -409,7 +405,6 @@ class IndexFleet:
             [partition.snapshot() for partition in self._partitions],
             self._aggregate,
             num_shards=self._num_shards,
-            executor=self._executor,
             failure_policy=self._failure_policy,
             metrics=self._metrics,
         )

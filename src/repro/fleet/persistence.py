@@ -13,8 +13,8 @@ fleet/
 ``manifest.json`` carries everything the codec files cannot: the split
 keys, the fleet policy, the fleet's epoch/version counters, and which file
 (if any) holds each partition.  Each partition file is an ordinary
-:func:`~repro.index.codec.save_index_binary` file — loadable on its own,
-mmap-shareable across processes, and exactly the format ``docs/FORMATS.md``
+:func:`~repro.index.codec.save_index` file — loadable on its own,
+mmap'd from the page cache, and exactly the format ``docs/FORMATS.md``
 specifies.  See that document for the manifest field reference.
 
 All load errors are typed :class:`~repro.errors.SerializationError`\\s:
@@ -31,7 +31,7 @@ from typing import Any
 from ..config import Aggregate
 from ..errors import SerializationError
 from ..index.atomic import atomic_write, prune_tmp_files
-from ..index.codec import load_index_binary, save_index_binary
+from ..index.codec import load_index, save_index
 from ..stream.updatable import UpdatablePolyFitIndex
 from .fleet import IndexFleet
 from .map import PartitionMap
@@ -78,7 +78,7 @@ def save_fleet(fleet: IndexFleet, directory: str | Path) -> Path:
             entries.append({"pid": pid, "file": None})
             continue
         file_name = _partition_file_name(pid)
-        save_index_binary(partition.index, directory / file_name)
+        save_index(partition.index, directory / file_name)
         entries.append({"pid": pid, "file": file_name})
     manifest = {
         "format_version": FLEET_MANIFEST_VERSION,
@@ -115,7 +115,6 @@ def load_fleet(
     *,
     mmap: bool = True,
     num_shards: int = 1,
-    executor: str = "serial",
     verify: bool = False,
     failure_policy: str = "fail_fast",
 ) -> IndexFleet:
@@ -180,7 +179,7 @@ def load_fleet(
                 f"fleet manifest {manifest_path} references missing "
                 f"partition file {file_name}"
             )
-        index = load_index_binary(partition_path, mmap=mmap, verify=verify)
+        index = load_index(partition_path, mmap=mmap, verify=verify)
         if not isinstance(index, UpdatablePolyFitIndex):
             raise SerializationError(
                 f"fleet partition file {file_name} holds a "
@@ -201,7 +200,6 @@ def load_fleet(
         config=config,
         policy=policy,
         num_shards=num_shards,
-        executor=executor,
         failure_policy=failure_policy,
     )
     fleet._epoch = int(manifest.get("epoch", 0))  # noqa: SLF001 - persistence is a friend module

@@ -26,10 +26,9 @@ algebra:
   to the merged exact answer when uncertified, exactly like a single
   PolyFit index.
 
-Each non-empty partition view can be wrapped in a
-:class:`~repro.queries.sharding.ShardedQueryEngine` (``num_shards > 1`` or
-a non-serial ``executor``), stacking query-parallel execution under the
-data-parallel fan-out.
+With ``num_shards > 1`` each non-empty partition view is wrapped in a
+:class:`~repro.queries.sharding.ShardedQueryEngine`, stacking
+query-parallel execution under the data-parallel fan-out.
 
 A router is a frozen plan over frozen views: build it from a consistent
 set of partition snapshots and it keeps answering that epoch while the
@@ -129,9 +128,9 @@ class FleetRouter:
         ``estimate_batch`` / ``exact_batch`` / ``certified_bound``.
     aggregate:
         The fleet's aggregate (decides the merge algebra).
-    num_shards, executor, min_queries_per_shard:
-        Query-parallelism knobs: with ``num_shards > 1`` or a non-serial
-        executor every non-empty view is wrapped in a
+    num_shards, min_queries_per_shard:
+        Query-parallelism knobs: with ``num_shards > 1`` every non-empty
+        view is wrapped in a
         :class:`~repro.queries.sharding.ShardedQueryEngine` with these
         settings (empty views answer O(1) identities and are never
         wrapped).
@@ -148,7 +147,6 @@ class FleetRouter:
         aggregate: Aggregate,
         *,
         num_shards: int = 1,
-        executor: str = "serial",
         min_queries_per_shard: int = DEFAULT_MIN_QUERIES_PER_SHARD,
         failure_policy: str = "fail_fast",
         metrics: FleetMetrics | None = None,
@@ -169,15 +167,14 @@ class FleetRouter:
         self._combine = np.fmax if aggregate is Aggregate.MAX else np.fmin
         self._failure_policy = failure_policy
         self._metrics = metrics
-        self._sharded = num_shards > 1 or executor != "serial"
+        self._sharded = num_shards > 1
         self._engines: list = []
         for view in self._views:
             if self._sharded and not isinstance(view, EmptyPartitionView):
                 self._engines.append(
-                    ShardedQueryEngine.for_index(
+                    ShardedQueryEngine(
                         view,
                         num_shards=num_shards,
-                        executor=executor,
                         min_queries_per_shard=min_queries_per_shard,
                     )
                 )

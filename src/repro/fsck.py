@@ -1,7 +1,7 @@
 """Offline integrity checker for every durable artifact the library writes.
 
-``repro fsck <path>...`` inspects codec files, write-ahead logs, fleet
-directories and JSON indexes *without* mutating them, and reports a typed
+``repro fsck <path>...`` inspects codec files, write-ahead logs and fleet
+directories *without* mutating them, and reports a typed
 list of problems:
 
 * **codec files** (``*.pfbin``) — container structure plus every per-array
@@ -14,8 +14,9 @@ list of problems:
 * **fleet directories** — manifest well-formedness, splits/partition-count
   consistency, every referenced partition file present and checksum-clean
   with the aggregate the manifest promises, plus notes for orphan partition
-  files and stale ``*.tmp`` leftovers from a crashed save;
-* **JSON indexes** — loadable and structurally valid.
+  files and stale ``*.tmp`` leftovers from a crashed save.
+
+A file with neither magic is reported ``unreadable``.
 
 Each problem is an :class:`FsckIssue` with a stable ``kind`` so scripts can
 dispatch on it; :class:`FsckReport` aggregates them per target.  The CLI
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from .errors import SerializationError
 from .index.atomic import TMP_SUFFIX
-from .index.codec import BINARY_MAGIC, load_index_binary, read_array_store
+from .index.codec import BINARY_MAGIC, load_index, read_array_store
 from .stream.wal import WAL_MAGIC, scan_wal
 
 __all__ = ["FsckIssue", "FsckReport", "fsck_path"]
@@ -61,7 +62,7 @@ class FsckReport:
     """All findings for one fsck target (one file or fleet directory)."""
 
     target: str
-    #: What the target was recognised as: codec / wal / fleet / json-index.
+    #: What the target was recognised as: codec / wal / fleet.
     artifact: str = "unknown"
     #: Objects verified (files, WAL frames): a progress/coverage count.
     checked: int = 0
@@ -89,7 +90,7 @@ def _fsck_codec(path: Path, report: FsckReport) -> None:
     report.artifact = "codec"
     try:
         meta, _ = read_array_store(path, mmap=False, verify=True)
-        load_index_binary(path, mmap=False)  # full structural decode
+        load_index(path, mmap=False)  # full structural decode
     except SerializationError as exc:
         report.issues.append(FsckIssue("codec-corrupt", str(path), str(exc)))
         return
@@ -122,18 +123,6 @@ def _fsck_wal(path: Path, report: FsckReport) -> None:
             f"{len(scan.records)} valid records (recoverable: truncated on "
             f"next open)"
         )
-
-
-def _fsck_json_index(path: Path, report: FsckReport) -> None:
-    report.artifact = "json-index"
-    from .index import load_index
-
-    try:
-        load_index(path)
-    except SerializationError as exc:
-        report.issues.append(FsckIssue("codec-corrupt", str(path), str(exc)))
-        return
-    report.checked += 1
 
 
 def _fsck_fleet(directory: Path, report: FsckReport) -> None:
@@ -191,7 +180,7 @@ def _fsck_fleet(directory: Path, report: FsckReport) -> None:
             )
             continue
         try:
-            index = load_index_binary(partition_path, mmap=False, verify=True)
+            index = load_index(partition_path, mmap=False, verify=True)
         except SerializationError as exc:
             report.issues.append(
                 FsckIssue("partition-corrupt", str(partition_path), str(exc))
@@ -232,7 +221,7 @@ def fsck_path(path: str | Path) -> FsckReport:
 
     The artifact type is sniffed: a directory containing a fleet manifest is
     checked as a fleet; files are dispatched on their magic bytes (codec vs
-    WAL), falling back to JSON-index verification.
+    WAL), and a file with neither is ``unreadable``.
     """
     path = Path(path)
     report = FsckReport(target=str(path))
@@ -263,5 +252,7 @@ def fsck_path(path: str | Path) -> FsckReport:
         # creation — the WAL checker classifies it properly.
         _fsck_wal(path, report)
     else:
-        _fsck_json_index(path, report)
+        report.issues.append(
+            FsckIssue("unreadable", str(path), "neither a codec file nor a WAL (bad magic)")
+        )
     return report

@@ -16,10 +16,9 @@
 * :mod:`overlay` — the read-only overlay view the streaming write path
   (:mod:`repro.stream`) serves queries from: the base directory's certified
   estimate combined with a frozen, exact delta-buffer snapshot.
-* :mod:`serialization` — JSON round-tripping of built indexes.
-* :mod:`codec` — the zero-copy binary format: one mappable raw-buffer file
-  per index, loaded with ``mmap`` so shard worker processes share the
-  directory pages instead of re-parsing floats.
+* :mod:`codec` — the index file format: one mappable raw-buffer file per
+  index (:func:`save_index` / :func:`load_index`), loaded with ``mmap`` so
+  the directory arrays are served from page cache instead of re-parsed.
 """
 
 from .directory import (
@@ -39,13 +38,10 @@ from .guarantees import (
 )
 from .polyfit1d import PolyFitIndex
 from .polyfit2d import PolyFit2DIndex
-from .serialization import index_to_dict, index_from_dict, save_index, load_index
-from .codec import save_index_binary, load_index_binary
+from .codec import save_index, load_index
 from .overlay import DeltaSnapshot, DirectoryOverlay
 
 __all__ = [
-    "save_index_binary",
-    "load_index_binary",
     "DeltaSnapshot",
     "DirectoryOverlay",
     "CellDirectory",
@@ -61,8 +57,6 @@ __all__ = [
     "CORNER_FACTORS",
     "PolyFitIndex",
     "PolyFit2DIndex",
-    "index_to_dict",
-    "index_from_dict",
     "save_index",
     "load_index",
 ]

@@ -1,32 +1,24 @@
-"""Zero-copy binary codec for built PolyFit indexes.
+"""The PolyFit index file format: a zero-copy binary codec.
 
-The JSON codec (:mod:`repro.index.serialization`) is portable but pays a
-float-parsing pass proportional to the dataset on every load.  This module
-persists the same payload as one *raw-buffer* file that memory-maps:
+A built index persists as one *raw-buffer* file that memory-maps:
 
 ``magic (8 bytes) | header length (uint64 LE) | JSON header | array blobs``
 
 The JSON header carries the scalar metadata (aggregate, delta, configs, the
 pointer-quadtree oracle for 2-D) plus an array table mapping each array name
 to its offset, shape and dtype; every blob is stored C-contiguous and
-64-byte aligned.  :func:`load_index_binary` maps the file once with
+64-byte aligned.  :func:`load_index` maps the file once with
 ``numpy.memmap(mode="r")`` and materializes each array as a zero-copy view
 into the mapping, so the flat cell-directory arrays the batch query path
 reads (locate keys, cell bounds, coefficient tensors, the sampled target
-function / CF grid) are backed directly by page cache.  Worker processes of
-a :class:`~repro.queries.sharding.ShardedQueryEngine` that open the same
-file therefore *share* those pages instead of each re-parsing floats —
-process-level sharding of a read-only directory costs no extra memory.
+function / CF grid) are backed directly by page cache: loading costs no
+float-parsing pass, and every loader of the same file (fleet partitions,
+checkpoint recovery, ``repro serve``) reads the same physical pages.
 
 A plain ``.npz`` archive was rejected for this role on purpose: npz is a
 zip container, so ``numpy.load(..., mmap_mode="r")`` silently falls back to
 eager reads.  The raw-buffer layout keeps the mmap guarantee while staying
 within one file.
-
-:func:`save_index_binary` / :func:`load_index_binary` are also reachable
-through :func:`repro.index.serialization.save_index` (``format="binary"``
-or a ``.pfbin`` suffix) and :func:`~repro.index.serialization.load_index`,
-which sniffs the magic bytes.
 """
 
 from __future__ import annotations
@@ -42,9 +34,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - the import would be circular at runtime
     from ..stream.updatable import UpdatablePolyFitIndex
 
-from ..config import Aggregate, QuadTreeConfig
-from ..errors import SerializationError
-from ..fitting.polynomial import Polynomial1D, SurfaceBank
+from ..config import Aggregate, FitConfig, IndexConfig, QuadTreeConfig, SegmentationConfig
+from ..errors import DataError, QueryError, SerializationError
+from ..fitting.polynomial import Polynomial1D, Polynomial2D, SurfaceBank
+from ..fitting.quadtree import QuadCell
 from .atomic import atomic_write
 from ..fitting.segmentation import Segment
 from ..functions.cumulative2d import Cumulative2D
@@ -56,8 +49,8 @@ __all__ = [
     "BINARY_MAGIC",
     "write_array_store",
     "read_array_store",
-    "save_index_binary",
-    "load_index_binary",
+    "save_index",
+    "load_index",
 ]
 
 #: Leading bytes of every PolyFit binary index file (includes the container
@@ -249,8 +242,6 @@ def _index1d_to_store(index: PolyFitIndex) -> tuple[dict, dict[str, np.ndarray]]
 
 
 def _index1d_from_store(meta: dict, arrays: dict[str, np.ndarray]) -> PolyFitIndex:
-    from .serialization import assemble_index1d
-
     coeff_lengths = arrays["poly_coeff_len"]
     offsets = np.concatenate(([0], np.cumsum(coeff_lengths)))
     coeffs = arrays["poly_coeffs"]
@@ -271,15 +262,19 @@ def _index1d_from_store(meta: dict, arrays: dict[str, np.ndarray]) -> PolyFitInd
         )
         for row in range(coeff_lengths.size)
     ]
-    return assemble_index1d(
-        aggregate=Aggregate(meta["aggregate"]),
-        delta=float(meta["delta"]),
-        degree=int(meta["degree"]),
+    delta = float(meta["delta"])
+    config = IndexConfig(
+        fit=FitConfig(degree=int(meta["degree"])),
+        segmentation=SegmentationConfig(delta=delta, method=meta["segmentation_method"]),
         fanout=int(meta["fanout"]),
-        segmentation_method=meta["segmentation_method"],
-        segments=segments,
-        function_keys=arrays["function_keys"],
-        function_values=arrays["function_values"],
+    )
+    return PolyFitIndex.from_segments(
+        Aggregate(meta["aggregate"]),
+        delta,
+        segments,
+        arrays["function_keys"],
+        arrays["function_values"],
+        config,
     )
 
 
@@ -288,9 +283,47 @@ def _index1d_from_store(meta: dict, arrays: dict[str, np.ndarray]) -> PolyFitInd
 # --------------------------------------------------------------------- #
 
 
-def _index2d_to_store(index: PolyFit2DIndex) -> tuple[dict, dict[str, np.ndarray]]:
-    from .serialization import _quadcell_to_dict
+def _quadcell_to_dict(cell: QuadCell) -> dict:
+    payload: dict = {
+        "x_low": cell.x_low,
+        "x_high": cell.x_high,
+        "y_low": cell.y_low,
+        "y_high": cell.y_high,
+        "depth": cell.depth,
+        "max_error": cell.max_error,
+        "surface": None if cell.surface is None else cell.surface.to_dict(),
+        "exact_points": None,
+        "children": [_quadcell_to_dict(child) for child in cell.children],
+    }
+    if cell.exact_points is not None:
+        us, vs, cf = cell.exact_points
+        payload["exact_points"] = [us.tolist(), vs.tolist(), cf.tolist()]
+    return payload
 
+
+def _quadcell_from_dict(payload: dict) -> QuadCell:
+    cell = QuadCell(
+        x_low=float(payload["x_low"]),
+        x_high=float(payload["x_high"]),
+        y_low=float(payload["y_low"]),
+        y_high=float(payload["y_high"]),
+        depth=int(payload["depth"]),
+        max_error=float(payload["max_error"]),
+    )
+    if payload["surface"] is not None:
+        cell.surface = Polynomial2D.from_dict(payload["surface"])
+    if payload["exact_points"] is not None:
+        us, vs, cf = payload["exact_points"]
+        cell.exact_points = (
+            np.asarray(us, dtype=np.float64),
+            np.asarray(vs, dtype=np.float64),
+            np.asarray(cf, dtype=np.float64),
+        )
+    cell.children = [_quadcell_from_dict(child) for child in payload["children"]]
+    return cell
+
+
+def _index2d_to_store(index: PolyFit2DIndex) -> tuple[dict, dict[str, np.ndarray]]:
     exact = index._exact  # noqa: SLF001 - codec is a friend module
     directory = index.directory
     meta = {
@@ -347,8 +380,6 @@ def _index2d_to_store(index: PolyFit2DIndex) -> tuple[dict, dict[str, np.ndarray
 
 
 def _index2d_from_store(meta: dict, arrays: dict[str, np.ndarray]) -> PolyFit2DIndex:
-    from .serialization import _quadcell_from_dict
-
     has_weights = bool(meta["has_weights"])
     exact = Cumulative2D(
         xs=arrays["xs"],
@@ -430,9 +461,8 @@ def _wal_counts_meta(index) -> dict | None:
 def _updatable1d_to_store(index) -> tuple[dict, dict[str, np.ndarray]]:
     """Base index arrays plus the sorted delta log of the current epoch.
 
-    The file is one immutable snapshot: every shard worker that maps it sees
-    the same base directory *and* the same buffered records, so a consistent
-    flush epoch — the write path's analogue of the read path's shared pages.
+    The file is one immutable snapshot: whoever maps it sees the same base
+    directory *and* the same buffered records — one consistent flush epoch.
     """
     base_meta, arrays = _index1d_to_store(index.base)
     snapshot = index.snapshot().delta
@@ -524,13 +554,13 @@ def _updatable2d_from_store(meta: dict, arrays: dict[str, np.ndarray]):
 # --------------------------------------------------------------------- #
 
 
-def save_index_binary(
+def save_index(
     index: "PolyFitIndex | PolyFit2DIndex | UpdatablePolyFitIndex",
     path: str | Path,
     *,
     opener=None,
 ) -> None:
-    """Serialize a built index to the zero-copy binary format (atomically)."""
+    """Serialize a built index to the binary index format (atomically)."""
     from ..stream.updatable import UpdatablePolyFitIndex
     from ..stream.updatable2d import UpdatablePolyFit2DIndex
 
@@ -543,21 +573,25 @@ def save_index_binary(
     elif isinstance(index, PolyFitIndex):
         meta, arrays = _index1d_to_store(index)
     else:
-        raise SerializationError(f"cannot binary-serialize {type(index)!r}")
+        raise SerializationError(f"cannot serialize {type(index)!r}")
     write_array_store(path, arrays, meta, opener=opener)
 
 
-def load_index_binary(
+def load_index(
     path: str | Path, *, mmap: bool = True, verify: bool = False
 ) -> "PolyFitIndex | PolyFit2DIndex | UpdatablePolyFitIndex":
-    """Load an index written by :func:`save_index_binary`.
+    """Load an index written by :func:`save_index`.
 
     With ``mmap=True`` (default) the heavy arrays — the sampled target
     function, point set, CF grid and the flat directory — are read-only
     views into the OS page cache, so concurrent loads of the same file
-    (e.g. process-pool shard workers) share physical memory.
-    ``verify=True`` checks every blob's CRC-32 first (see
-    :func:`read_array_store`).
+    share physical memory.  ``verify=True`` checks every blob's CRC-32
+    first (see :func:`read_array_store`).
+
+    Every failure is a typed :class:`~repro.errors.SerializationError`: a
+    missing magic, a malformed header or array table, and arrays that fail
+    the structural validation of the assembled index (for example leaf
+    Morton keys out of order).
     """
     meta, arrays = read_array_store(path, mmap=mmap, verify=verify)
     try:
@@ -573,6 +607,6 @@ def load_index_binary(
             return _updatable1d_from_store(meta, arrays)
         if kind == "updatable2d":
             return _updatable2d_from_store(meta, arrays)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, QueryError, DataError) as exc:
         raise SerializationError(f"malformed binary index payload: {exc}") from exc
     raise SerializationError(f"unknown binary index kind {kind!r}")

@@ -546,44 +546,6 @@ class QuadDirectory(CellDirectory):
             + 3 * 8 * self.num_exact_samples
         )
 
-    def to_dict(self) -> dict:
-        """Serialize the flat arrays to plain Python types."""
-        return {
-            "keys": [int(code) for code in self.keys],
-            "lows": self.lows.tolist(),
-            "highs": self.highs.tolist(),
-            "errors": self.errors.tolist(),
-            "exact_mask": self.exact_mask.tolist(),
-            "depth": self.depth,
-            "root_bounds": list(self.root_bounds),
-            "surfaces": self.surfaces.to_dict(),
-            "exact_ranges": self.exact_ranges.tolist(),
-        }
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: dict,
-        grid_x: np.ndarray,
-        grid_y: np.ndarray,
-        grid_cf: np.ndarray,
-    ) -> "QuadDirectory":
-        """Rebuild from :meth:`to_dict` output plus the (recomputed) CF grid."""
-        return cls(
-            keys=np.array([int(code) for code in payload["keys"]], dtype=np.uint64),
-            lows=np.asarray(payload["lows"], dtype=np.float64),
-            highs=np.asarray(payload["highs"], dtype=np.float64),
-            errors=np.asarray(payload["errors"], dtype=np.float64),
-            exact_mask=np.asarray(payload["exact_mask"], dtype=bool),
-            depth=int(payload["depth"]),
-            root_bounds=tuple(payload["root_bounds"]),
-            surfaces=SurfaceBank.from_dict(payload["surfaces"]),
-            exact_ranges=np.asarray(payload["exact_ranges"], dtype=np.intp),
-            grid_x=grid_x,
-            grid_y=grid_y,
-            grid_cf=grid_cf,
-        )
-
 
 class QuadLeafExtremes:
     """Per-leaf extreme payload for rectangle MAX/MIN over a 2-D point set.

@@ -12,9 +12,8 @@ is *exact*:
   over the sorted measures.  Both are O(1) NumPy calls for N queries.
 * :class:`DirectoryOverlay` — the combined read view: the base index's
   certified estimate plus the snapshot's exact contribution.  The overlay is
-  immutable, so shard workers (threads or forked processes) handed an
-  overlay all serve the *same* epoch even while the owning updatable index
-  keeps absorbing writes.
+  immutable, so shard threads handed an overlay all serve the *same* epoch
+  even while the owning updatable index keeps absorbing writes.
 
 Because the delta part is exact, the overlay's absolute error equals the
 base index's (``|combined - truth| = |base_est - base_truth| <= bound`` for

@@ -139,43 +139,86 @@ class PolyFitIndex:
         measures = np.asarray(measures, dtype=np.float64)
 
         if aggregate.is_cumulative:
-            cumulative = build_cumulative_function(keys, measures, aggregate)
-            function_keys, function_values = cumulative.keys, cumulative.values
-            key_measure = None
+            function = build_cumulative_function(keys, measures, aggregate)
         else:
-            key_measure = build_key_measure_function(keys, measures, aggregate)
-            function_keys, function_values = key_measure.keys, key_measure.measures
-            cumulative = None
+            function = build_key_measure_function(keys, measures, aggregate)
+        return cls.from_function(function, delta=delta, config=config)
 
+    @classmethod
+    def from_function(
+        cls,
+        function: CumulativeFunction | KeyMeasureFunction,
+        *,
+        delta: float,
+        config: IndexConfig | None = None,
+    ) -> "PolyFitIndex":
+        """Build a PolyFit index from an already-constructed target function.
+
+        The function's own samples are segmented — a cumulative function's
+        values are running sums, not raw measures, so they are never fed
+        back through :meth:`build`.
+        """
+        config = config or IndexConfig()
+        if isinstance(function, CumulativeFunction):
+            values = function.values
+        elif isinstance(function, KeyMeasureFunction):
+            values = function.measures
+        else:
+            raise DataError(f"unsupported function type {type(function)!r}")
         segments = greedy_segmentation(
-            function_keys,
-            function_values,
+            function.keys,
+            values,
             delta=delta,
             degree=config.fit.degree,
             use_exponential_search=config.segmentation.method != "greedy",
             solver=config.fit.solver,
             early_accept=config.segmentation.early_accept,
         )
-        directory = SegmentDirectory.from_segments(segments)
+        return cls.from_segments(
+            function.aggregate, delta, segments, function.keys, values, config
+        )
 
+    @classmethod
+    def from_segments(
+        cls,
+        aggregate: Aggregate,
+        delta: float,
+        segments: list[Segment],
+        function_keys: np.ndarray,
+        function_values: np.ndarray,
+        config: IndexConfig,
+    ) -> "PolyFitIndex":
+        """Assemble an index from fitted segments and the sampled target function.
+
+        The one assembly path shared by :meth:`build`, the codec loader and
+        streaming compaction: it rebuilds the segment directory and the
+        exact-fallback structures (the key-cumulative array for SUM/COUNT,
+        the per-segment extreme tree for MAX/MIN) from the segments and the
+        function samples they were fitted to.
+        """
+        directory = SegmentDirectory.from_segments(segments)
+        cumulative = None
+        key_measure = None
         segment_extreme_tree = None
         exact_fallback = None
-        if aggregate.is_extremum:
-            assert key_measure is not None
+        if aggregate.is_cumulative:
+            cumulative = CumulativeFunction(
+                keys=function_keys, values=function_values, aggregate=aggregate
+            )
+            exact_fallback = KeyCumulativeArray.from_cumulative(cumulative)
+        else:
+            key_measure = KeyMeasureFunction(
+                keys=function_keys, measures=function_values, aggregate=aggregate
+            )
             # Segments tile [0, n), so one reduceat over the segment starts
             # yields every per-segment extreme without a Python-level loop.
             starts = np.array([segment.start for segment in segments], dtype=np.intp)
             reducer = np.maximum if aggregate is Aggregate.MAX else np.minimum
-            per_segment_extremes = reducer.reduceat(key_measure.measures, starts)
             segment_extreme_tree = AggregateSegmentTree(
                 keys=np.arange(len(segments), dtype=np.float64),
-                measures=per_segment_extremes,
+                measures=reducer.reduceat(function_values, starts),
                 aggregate=aggregate,
             )
-        else:
-            assert cumulative is not None
-            exact_fallback = KeyCumulativeArray.from_cumulative(cumulative)
-
         return cls(
             aggregate=aggregate,
             delta=delta,
@@ -187,34 +230,6 @@ class PolyFitIndex:
             exact_fallback=exact_fallback,
             config=config,
         )
-
-    @classmethod
-    def from_function(
-        cls,
-        function: CumulativeFunction | KeyMeasureFunction,
-        *,
-        delta: float,
-        config: IndexConfig | None = None,
-    ) -> "PolyFitIndex":
-        """Build a PolyFit index from an already-constructed target function."""
-        config = config or IndexConfig()
-        if isinstance(function, CumulativeFunction):
-            keys, values = function.keys, function.values
-            aggregate = function.aggregate
-        elif isinstance(function, KeyMeasureFunction):
-            keys, values = function.keys, function.measures
-            aggregate = function.aggregate
-        else:  # pragma: no cover - defensive
-            raise DataError(f"unsupported function type {type(function)!r}")
-
-        index = cls.build(
-            keys=keys,
-            measures=None if aggregate is Aggregate.COUNT else values,
-            aggregate=aggregate,
-            delta=delta,
-            config=config,
-        )
-        return index
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -152,7 +152,6 @@ class QueryEngine:
         name: str = "method",
         *,
         num_shards: int = 1,
-        executor: str = "thread",
         cache_size: int = 0,
     ) -> "QueryEngine":
         """Wire an engine from an index object, auto-detecting batch support.
@@ -164,11 +163,10 @@ class QueryEngine:
 
         With ``num_shards > 1`` the batch callables are routed through a
         :class:`~repro.queries.sharding.ShardedQueryEngine`, which splits
-        large workloads into ``num_shards`` chunks fanned out over the
-        chosen ``executor`` ("thread" or "process") and merged in input
-        order; results stay bit-identical to the serial path.  Call
-        :meth:`close` to release the worker pool, or use the engine as a
-        context manager.
+        large workloads into ``num_shards`` chunks fanned out over a
+        thread pool and merged in input order; results stay bit-identical
+        to the serial path.  Call :meth:`close` to release the worker pool,
+        or use the engine as a context manager.
 
         Updatable indexes (anything exposing ``snapshot()``, e.g.
         :class:`~repro.stream.updatable.UpdatablePolyFitIndex`) already
@@ -204,7 +202,7 @@ class QueryEngine:
                 # diverge after an insert.
                 index = snapshot()
                 exact_batch = getattr(index, "exact_batch", None)
-            sharded = ShardedQueryEngine(index=index, num_shards=num_shards, executor=executor)
+            sharded = ShardedQueryEngine(index, num_shards=num_shards)
             approximate_batch = sharded.query_batch
             if exact_batch is not None:
                 exact_batch = sharded.exact_batch

@@ -3,23 +3,13 @@
 The batch query path answers a workload with O(1) NumPy calls over the flat
 cell directory — a static, read-only structure, which makes the workload
 embarrassingly parallel: split the bound arrays into contiguous chunks, fan
-the chunks out across workers, and concatenate the per-chunk answers back in
-input order.  :class:`ShardedQueryEngine` implements exactly that on top of
-any index exposing the batch interface (``estimate_batch`` /
-``exact_batch`` / ``query_batch``):
-
-* ``executor="thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  sharing the in-process index.  NumPy releases the GIL inside the large
-  vectorized kernels, so threads scale on multi-core machines without any
-  copying at all.
-* ``executor="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  for workloads where Python-level work (e.g. the per-query exact 2-D
-  fallback) would serialize on the GIL.  Workers obtain the index either by
-  memory-mapping a :mod:`repro.index.codec` file (``index_path`` — every
-  worker maps the *same* pages, so the directory is shared, not copied) or,
-  on fork platforms, by copy-on-write inheritance of the parent's index.
-* ``executor="serial"`` — no pool; identical code path to calling the index
-  directly (useful as the oracle in tests and benches).
+the chunks out across a :class:`~concurrent.futures.ThreadPoolExecutor`
+sharing the in-process index, and concatenate the per-chunk answers back in
+input order.  NumPy releases the GIL inside the large vectorized kernels, so
+threads scale on multi-core machines without any copying at all.
+:class:`ShardedQueryEngine` implements exactly that on top of any index
+exposing the batch interface (``estimate_batch`` / ``exact_batch`` /
+``query_batch``).
 
 Workloads smaller than ``num_shards * min_queries_per_shard`` skip the pool
 and run serially: chunking overhead would dominate, and the serial path is
@@ -29,11 +19,9 @@ evaluating a chunk equals slicing the full evaluation).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +37,6 @@ __all__ = [
     "shard_slices",
     "DEFAULT_MIN_QUERIES_PER_SHARD",
 ]
-
-_EXECUTORS = ("serial", "thread", "process")
 
 #: Below ``num_shards * DEFAULT_MIN_QUERIES_PER_SHARD`` queries the engine
 #: answers serially: pool dispatch costs more than the chunks save.
@@ -82,34 +68,6 @@ def shard_slices(total: int, num_shards: int) -> list[tuple[int, int]]:
     return slices
 
 
-# --------------------------------------------------------------------- #
-# Process-pool worker plumbing (module level: must be picklable by spawn)
-# --------------------------------------------------------------------- #
-
-_WORKER_INDEX = None
-
-
-def _worker_init_from_path(index_path: str, mmap: bool) -> None:
-    """Load the shared index inside a worker process (mmap → shared pages)."""
-    global _WORKER_INDEX
-    from ..index.codec import load_index_binary
-
-    _WORKER_INDEX = load_index_binary(index_path, mmap=mmap)
-
-
-def _worker_init_inherit(index: object) -> None:
-    """Adopt the parent's index (fork start method: copy-on-write, no pickle)."""
-    global _WORKER_INDEX
-    _WORKER_INDEX = index
-
-
-def _worker_run(
-    method: str, bounds: tuple[np.ndarray, ...], guarantee: Guarantee | None
-):
-    """Answer one chunk in a worker; columnar results travel as plain tuples."""
-    return _normalize(_dispatch(_WORKER_INDEX, method, bounds, guarantee))
-
-
 def _dispatch(
     index: object,
     method: str,
@@ -120,17 +78,6 @@ def _dispatch(
     if guarantee is None:
         return target(*bounds)
     return target(*bounds, guarantee)
-
-
-def _normalize(result):
-    if isinstance(result, BatchQueryResult):
-        return (
-            result.values,
-            result.guaranteed,
-            result.exact_fallback,
-            result.error_bounds,
-        )
-    return np.asarray(result)
 
 
 class ShardMetrics:
@@ -155,63 +102,43 @@ class ShardMetrics:
 
 
 def _merge(parts: list):
-    if isinstance(parts[0], tuple):
+    if isinstance(parts[0], BatchQueryResult):
         return BatchQueryResult(
-            values=np.concatenate([part[0] for part in parts]),
-            guaranteed=np.concatenate([part[1] for part in parts]),
-            exact_fallback=np.concatenate([part[2] for part in parts]),
-            error_bounds=np.concatenate([part[3] for part in parts]),
+            values=np.concatenate([part.values for part in parts]),
+            guaranteed=np.concatenate([part.guaranteed for part in parts]),
+            exact_fallback=np.concatenate([part.exact_fallback for part in parts]),
+            error_bounds=np.concatenate([part.error_bounds for part in parts]),
         )
     return np.concatenate(parts)
 
 
 class ShardedQueryEngine:
-    """Fan a batch workload out across threads or processes, in input order.
+    """Fan a batch workload out across a thread pool, in input order.
 
     Parameters
     ----------
     index:
-        A built index exposing the batch interface.  Optional when
-        ``index_path`` is given (it is then lazily mmap-loaded for the
-        serial fallback).
-    index_path:
-        Path to a :mod:`repro.index.codec` binary file.  Required for the
-        process executor on non-fork platforms; with it, every worker maps
-        the same read-only pages instead of receiving a pickled copy.
+        A built index exposing the batch interface.
     num_shards:
-        Number of chunks / pool workers.  Defaults to the CPU count.
-    executor:
-        ``"thread"`` (default), ``"process"`` or ``"serial"``.
+        Number of chunks / pool threads.  Defaults to the CPU count.
     min_queries_per_shard:
         Serial-fallback threshold: workloads with fewer than
         ``num_shards * min_queries_per_shard`` queries skip the pool.
-    mmap:
-        Whether path-loaded indexes are memory-mapped (kept for benchmarks
-        that compare against eager loading).
 
     The engine owns its pool: it is created lazily on the first parallel
     call and released by :meth:`close` (or a ``with`` block).  Results are
-    bit-identical to the serial path for every executor — chunk evaluation
-    is element-independent in all batch kernels.
+    bit-identical to the serial path — chunk evaluation is
+    element-independent in all batch kernels.
     """
 
     def __init__(
         self,
-        index: object | None = None,
+        index: object,
         *,
-        index_path: str | Path | None = None,
         num_shards: int | None = None,
-        executor: str = "thread",
         min_queries_per_shard: int = DEFAULT_MIN_QUERIES_PER_SHARD,
-        mmap: bool = True,
         metrics: ShardMetrics | None = None,
     ) -> None:
-        if executor not in _EXECUTORS:
-            raise QueryError(
-                f"unknown executor {executor!r}; choose one of {_EXECUTORS}"
-            )
-        if index is None and index_path is None:
-            raise QueryError("provide an index, an index_path, or both")
         if num_shards is None:
             num_shards = os.cpu_count() or 1
         if num_shards < 1:
@@ -221,27 +148,10 @@ class ShardedQueryEngine:
                 f"min_queries_per_shard must be >= 1, got {min_queries_per_shard}"
             )
         self._index = index
-        self._index_path = None if index_path is None else str(index_path)
         self._num_shards = int(num_shards)
-        self._executor = executor
         self._min_queries_per_shard = int(min_queries_per_shard)
-        self._mmap = bool(mmap)
         self._metrics = metrics
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def for_index(cls, index: object, **kwargs) -> "ShardedQueryEngine":
-        """Shard an in-memory index (thread executor by default)."""
-        return cls(index=index, **kwargs)
-
-    @classmethod
-    def from_path(cls, index_path: str | Path, **kwargs) -> "ShardedQueryEngine":
-        """Shard a persisted binary index; workers mmap the same file."""
-        return cls(index_path=index_path, **kwargs)
+        self._pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -251,20 +161,6 @@ class ShardedQueryEngine:
     def num_shards(self) -> int:
         """Number of chunks the workload is split into."""
         return self._num_shards
-
-    @property
-    def executor(self) -> str:
-        """The configured executor kind."""
-        return self._executor
-
-    @property
-    def index(self) -> object:
-        """The local index (lazily mmap-loaded from ``index_path`` if needed)."""
-        if self._index is None:
-            from ..index.codec import load_index_binary
-
-            self._index = load_index_binary(self._index_path, mmap=self._mmap)
-        return self._index
 
     # ------------------------------------------------------------------ #
     # Batch interface (mirrors the index's own)
@@ -333,87 +229,39 @@ class ShardedQueryEngine:
             if trace is not None:
                 trace.add_span("shard_exec", t0, t1, shard=shard)
 
-        if (
-            self._executor == "serial"
-            or len(slices) <= 1
-            or total < self._num_shards * self._min_queries_per_shard
-        ):
+        if len(slices) <= 1 or total < self._num_shards * self._min_queries_per_shard:
             if hist is None and trace is None:
-                return _dispatch(self.index, method, bounds, guarantee)
+                return _dispatch(self._index, method, bounds, guarantee)
             t0 = clock()
-            out = _dispatch(self.index, method, bounds, guarantee)
+            out = _dispatch(self._index, method, bounds, guarantee)
             observe(0, t0, clock())
             return out
 
-        pool = self._ensure_pool()
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self._num_shards, thread_name_prefix="repro-shard"
+            )
         chunks = [
             tuple(bound[start:stop] for bound in bounds) for start, stop in slices
         ]
-        if self._executor == "process":
-            # Workers run in other processes: per-shard time is measured as
-            # scatter-to-completion wall time in the parent (an upper bound
-            # that includes pool queueing).
-            t0 = clock()
-            futures = [
-                pool.submit(_worker_run, method, chunk, guarantee) for chunk in chunks
-            ]
-            parts = []
-            for i, future in enumerate(futures):
-                parts.append(future.result())
-                observe(i, t0, clock())
-            return _merge(parts)
-
-        index = self.index
+        index = self._index
         if hist is None and trace is None:
             futures = [
-                pool.submit(
-                    lambda c: _normalize(_dispatch(index, method, c, guarantee)), chunk
-                )
+                self._pool.submit(_dispatch, index, method, chunk, guarantee)
                 for chunk in chunks
             ]
         else:
 
             def run_chunk(shard: int, chunk):
                 t0 = clock()
-                out = _normalize(_dispatch(index, method, chunk, guarantee))
+                out = _dispatch(index, method, chunk, guarantee)
                 observe(shard, t0, clock())
                 return out
 
             futures = [
-                pool.submit(run_chunk, i, chunk) for i, chunk in enumerate(chunks)
+                self._pool.submit(run_chunk, i, chunk) for i, chunk in enumerate(chunks)
             ]
         return _merge([future.result() for future in futures])
-
-    def _ensure_pool(self):
-        if self._pool is not None:
-            return self._pool
-        if self._executor == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._num_shards, thread_name_prefix="repro-shard"
-            )
-        elif self._index_path is not None:
-            # Path-backed workers: each initializer mmaps the same binary
-            # file, so all shards serve from one set of physical pages.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._num_shards,
-                initializer=_worker_init_from_path,
-                initargs=(self._index_path, self._mmap),
-            )
-        else:
-            # In-memory index: only fork can share it without pickling —
-            # the initargs tuple is inherited copy-on-write at fork time.
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise QueryError(
-                    "process executor needs an index_path on platforms without "
-                    "fork; save the index with save_index_binary() first"
-                )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._num_shards,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_worker_init_inherit,
-                initargs=(self.index,),
-            )
-        return self._pool
 
     # ------------------------------------------------------------------ #
     # Lifecycle

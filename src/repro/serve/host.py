@@ -15,8 +15,8 @@ authority) and the NumPy batch engines (executed on worker threads):
 * **Knob wiring** — ``cache_size`` enables the version-keyed
   :class:`~repro.queries.cache.ResultCache` (keyed on the *live* write
   version captured at pin time, so inserts and compactions invalidate
-  cached answers), and ``num_shards``/``executor`` fan large batches out
-  through :class:`~repro.queries.sharding.ShardedQueryEngine`.
+  cached answers), and ``num_shards`` fans large batches out over a thread
+  pool through :class:`~repro.queries.sharding.ShardedQueryEngine`.
 
 Thread-safety contract: :meth:`pin`, :meth:`insert` and :meth:`compact` must
 be called from the event-loop thread (they observe/advance the mutation
@@ -115,7 +115,7 @@ class EngineHost:
         Label used in stats and error messages.
     cache_size:
         When > 0, memoize whole-batch answers in a version-keyed LRU.
-    num_shards, executor:
+    num_shards:
         When ``num_shards > 1``, batches are fanned out through a
         :class:`~repro.queries.sharding.ShardedQueryEngine` over the pinned
         view.  For updatable indexes the sharded wrapper is rebuilt when the
@@ -137,7 +137,6 @@ class EngineHost:
         name: str = "default",
         cache_size: int = 0,
         num_shards: int = 1,
-        executor: str = "thread",
         instrument: bool = True,
     ) -> None:
         if not callable(getattr(index, "query_batch", None)):
@@ -150,7 +149,6 @@ class EngineHost:
         self._index = index
         self.name = name
         self._num_shards = int(num_shards)
-        self._executor = executor
         self._updatable = callable(getattr(index, "snapshot", None))
         self._dims = _query_dims(index)
         self._cache = (
@@ -389,7 +387,6 @@ class EngineHost:
         engine = ShardedQueryEngine(
             index=pinned,
             num_shards=self._num_shards,
-            executor=self._executor,
             metrics=self._shard_metrics,
         )
         self._sharded.append((pinned, engine))

@@ -45,7 +45,7 @@ class CompactionPolicy:
             raise QueryError(f"max_fraction must be positive, got {self.max_fraction}")
 
     def to_payload(self) -> dict:
-        """JSON-compatible form shared by the binary and JSON codecs."""
+        """JSON-compatible form stored in the codec header."""
         return {
             "max_buffer": self.max_buffer,
             "max_fraction": self.max_fraction,

@@ -46,7 +46,6 @@ from ..fitting.incremental import CorridorScanner, fit_incremental_polynomial
 from ..fitting.segmentation import Segment, greedy_segmentation
 from ..index.overlay import DirectoryOverlay
 from ..index.polyfit1d import PolyFitIndex
-from ..index.serialization import assemble_index1d
 from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
 from ..obs.metrics import SIZE_BUCKETS, counter_family, histogram_family
 from .buffer import DeltaBuffer
@@ -423,16 +422,13 @@ class UpdatablePolyFitIndex:
             self._obs.compaction_seconds.observe(time.perf_counter() - t0)
             return True
         segments = self._resegment(merged_keys, merged_values, affected, old_n)
-        self._base = assemble_index1d(
-            aggregate=self.aggregate,
-            delta=self._base.delta,
-            degree=self._base.degree,
-            fanout=self._base.config.fanout,
-            segmentation_method=self._base.config.segmentation.method,
-            segments=segments,
-            function_keys=merged_keys,
-            function_values=merged_values,
-            config=self._base.config,
+        self._base = PolyFitIndex.from_segments(
+            self.aggregate,
+            self._base.delta,
+            segments,
+            merged_keys,
+            merged_values,
+            self._base.config,
         )
         self._finish_epoch()
         self._obs.compactions_total.inc()
@@ -475,10 +471,10 @@ class UpdatablePolyFitIndex:
         seal is advisory — whichever checkpoint file survives describes its
         own log position exactly.
         """
-        from ..index.codec import save_index_binary
+        from ..index.codec import save_index
 
         path = Path(path)
-        save_index_binary(self, path)
+        save_index(self, path)
         if self._wal is not None:
             self._wal.append_seal(epoch=self._epoch, buffer_size=self.buffer_size)
         return path
@@ -506,11 +502,11 @@ class UpdatablePolyFitIndex:
         and the returned index keeps appending to the same log.
         """
         if isinstance(checkpoint, (str, Path)):
-            from ..index.codec import load_index_binary
+            from ..index.codec import load_index
 
             # mmap=False: recovery must not keep serving off a file the
             # caller may rewrite with the next checkpoint.
-            index = load_index_binary(checkpoint, mmap=False, verify=verify)
+            index = load_index(checkpoint, mmap=False, verify=verify)
         else:
             index = checkpoint
         if isinstance(index, PolyFitIndex):

@@ -419,10 +419,10 @@ class UpdatablePolyFit2DIndex:
 
     def checkpoint(self, path: str | Path) -> Path:
         """Persist the full state atomically and seal the WAL position."""
-        from ..index.codec import save_index_binary
+        from ..index.codec import save_index
 
         path = Path(path)
-        save_index_binary(self, path)
+        save_index(self, path)
         if self._wal is not None:
             self._wal.append_seal(epoch=self._epoch, buffer_size=self._size)
         return path
@@ -445,9 +445,9 @@ class UpdatablePolyFit2DIndex:
         :class:`~repro.index.polyfit2d.PolyFit2DIndex`.
         """
         if isinstance(checkpoint, (str, Path)):
-            from ..index.codec import load_index_binary
+            from ..index.codec import load_index
 
-            index = load_index_binary(checkpoint, mmap=False, verify=verify)
+            index = load_index(checkpoint, mmap=False, verify=verify)
         else:
             index = checkpoint
         if isinstance(index, PolyFit2DIndex):

@@ -24,23 +24,23 @@ class TestParser:
 
     def test_build_requires_budget(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["build", "in.csv", "out.json"])
+            build_parser().parse_args(["build", "in.csv", "out.pfbin"])
 
     def test_build_budget_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["build", "in.csv", "out.json", "--eps-abs", "10", "--delta", "5"]
+                ["build", "in.csv", "out.pfbin", "--eps-abs", "10", "--delta", "5"]
             )
 
     def test_query_parses(self):
-        args = build_parser().parse_args(["query", "idx.json", "1.0", "2.0", "--eps-rel", "0.01"])
+        args = build_parser().parse_args(["query", "idx.pfbin", "1.0", "2.0", "--eps-rel", "0.01"])
         assert args.low == 1.0 and args.eps_rel == 0.01
 
 
 class TestBuildQueryRoundTrip:
     def test_count_build_query_info(self, ticks_csv, tmp_path, capsys):
         csv_path, keys, _ = ticks_csv
-        index_path = tmp_path / "count.json"
+        index_path = tmp_path / "count.pfbin"
         assert main(["build", str(csv_path), str(index_path),
                      "--aggregate", "count", "--eps-abs", "50"]) == 0
         assert index_path.exists()
@@ -58,7 +58,7 @@ class TestBuildQueryRoundTrip:
 
     def test_max_build_and_query(self, ticks_csv, tmp_path, capsys):
         csv_path, keys, measures = ticks_csv
-        index_path = tmp_path / "max.json"
+        index_path = tmp_path / "max.pfbin"
         assert main(["build", str(csv_path), str(index_path),
                      "--aggregate", "max", "--eps-abs", "10"]) == 0
         capsys.readouterr()  # discard the build banner
@@ -70,16 +70,16 @@ class TestBuildQueryRoundTrip:
 
     def test_build_with_delta(self, ticks_csv, tmp_path):
         csv_path, _, _ = ticks_csv
-        index_path = tmp_path / "delta.json"
+        index_path = tmp_path / "delta.pfbin"
         assert main(["build", str(csv_path), str(index_path),
                      "--aggregate", "count", "--delta", "25"]) == 0
 
     def test_missing_input_returns_error_code(self, tmp_path):
-        assert main(["build", str(tmp_path / "missing.csv"), str(tmp_path / "o.json"),
+        assert main(["build", str(tmp_path / "missing.csv"), str(tmp_path / "o.pfbin"),
                      "--eps-abs", "50"]) == 2
 
     def test_query_missing_index_returns_error_code(self, tmp_path):
-        assert main(["query", str(tmp_path / "missing.json"), "0", "1"]) == 2
+        assert main(["query", str(tmp_path / "missing.pfbin"), "0", "1"]) == 2
 
 
 class TestIngest:

@@ -1,9 +1,9 @@
 """Tests for the zero-copy binary index codec.
 
 Coverage: the generic array store (layout, alignment, zero-copy mmap
-views), JSON <-> binary round-trip equality (arrays bit-identical, query
-results matching after reload) for 1-D COUNT/SUM/MAX and 2-D COUNT/SUM
-indexes, format auto-detection, and the corrupted-file error paths.
+views), save/load round-trip equality (arrays bit-identical to the
+original index, query results matching after reload) for 1-D COUNT/SUM/MAX
+and 2-D COUNT/SUM indexes, and the corrupted-file error paths.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from repro import (
     RangeQuery,
     RangeQuery2D,
     load_index,
-    load_index_binary,
     save_index,
-    save_index_binary,
 )
 from repro.errors import SerializationError
 from repro.index.codec import BINARY_MAGIC, read_array_store, write_array_store
@@ -104,8 +102,8 @@ class TestRoundTrip1D:
     def test_count_queries_match(self, count_index, tweet_small, tmp_path, mmap):
         keys, _ = tweet_small
         path = tmp_path / "count.pfbin"
-        save_index_binary(count_index, path)
-        clone = load_index_binary(path, mmap=mmap)
+        save_index(count_index, path)
+        clone = load_index(path, mmap=mmap)
         bounds = _range_bounds(keys, 2_000, seed=1)
         assert np.array_equal(
             clone.estimate_batch(*bounds), count_index.estimate_batch(*bounds)
@@ -114,27 +112,26 @@ class TestRoundTrip1D:
         assert clone.delta == count_index.delta
         assert clone.size_in_bytes() == count_index.size_in_bytes()
 
-    def test_json_and_binary_clones_bit_identical(self, count_index, tweet_small, tmp_path):
+    def test_clone_arrays_bit_identical_to_original(self, count_index, tweet_small, tmp_path):
         keys, _ = tweet_small
-        json_clone = load_index(_save(count_index, tmp_path / "i.json"))
-        binary_clone = load_index(_save(count_index, tmp_path / "i.pfbin"))
-        a, b = json_clone._directory, binary_clone._directory  # noqa: SLF001
+        clone = load_index(_save(count_index, tmp_path / "i.pfbin"))
+        a, b = count_index._directory, clone._directory  # noqa: SLF001
         for attr in ("keys", "lows", "highs", "errors"):
             assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
         assert a.bank.coeffs.tobytes() == b.bank.coeffs.tobytes()
-        fa = json_clone._cumulative  # noqa: SLF001
-        fb = binary_clone._cumulative  # noqa: SLF001
+        fa = count_index._cumulative  # noqa: SLF001
+        fb = clone._cumulative  # noqa: SLF001
         assert fa.keys.tobytes() == fb.keys.tobytes()
         assert fa.values.tobytes() == fb.values.tobytes()
         bounds = _range_bounds(keys, 2_000, seed=2)
-        assert np.allclose(
-            json_clone.estimate_batch(*bounds), binary_clone.estimate_batch(*bounds)
+        assert np.array_equal(
+            count_index.estimate_batch(*bounds), clone.estimate_batch(*bounds)
         )
 
     def test_sum_round_trip(self, tweet_small, tmp_path):
         keys, measures = tweet_small
         index = PolyFitIndex.build(keys, measures, aggregate=Aggregate.SUM, delta=100.0)
-        clone = load_index_binary(_save(index, tmp_path / "sum.pfbin"))
+        clone = load_index(_save(index, tmp_path / "sum.pfbin"))
         assert clone.aggregate is Aggregate.SUM
         query = RangeQuery(float(keys[10]), float(keys[-10]), Aggregate.SUM)
         assert clone.query_value(query.low, query.high) == pytest.approx(
@@ -143,7 +140,7 @@ class TestRoundTrip1D:
 
     def test_max_round_trip_including_batch(self, max_index, hki_small, tmp_path):
         keys, _ = hki_small
-        clone = load_index_binary(_save(max_index, tmp_path / "max.pfbin"))
+        clone = load_index(_save(max_index, tmp_path / "max.pfbin"))
         bounds = _range_bounds(keys, 1_000, seed=3)
         assert np.array_equal(
             clone.estimate_batch(*bounds),
@@ -156,7 +153,7 @@ class TestRoundTrip2D:
     @pytest.mark.parametrize("mmap", [True, False])
     def test_count_round_trip(self, count2d_index, osm_small, tmp_path, mmap):
         xs, ys = osm_small
-        clone = load_index_binary(_save(count2d_index, tmp_path / "c2.pfbin"), mmap=mmap)
+        clone = load_index(_save(count2d_index, tmp_path / "c2.pfbin"), mmap=mmap)
         rng = np.random.default_rng(4)
         ax = np.sort(rng.uniform(xs.min(), xs.max(), size=(2, 1_500)), axis=0)
         ay = np.sort(rng.uniform(ys.min(), ys.max(), size=(2, 1_500)), axis=0)
@@ -172,10 +169,9 @@ class TestRoundTrip2D:
         assert clone.exact(query) == count2d_index.exact(query)
         assert clone.size_in_bytes() == count2d_index.size_in_bytes()
 
-    def test_json_and_binary_directories_bit_identical(self, count2d_index, tmp_path):
-        json_clone = load_index(_save(count2d_index, tmp_path / "c2.json"))
-        binary_clone = load_index(_save(count2d_index, tmp_path / "c2.pfbin"))
-        a, b = json_clone.directory, binary_clone.directory
+    def test_clone_directory_bit_identical_to_original(self, count2d_index, tmp_path):
+        clone = load_index(_save(count2d_index, tmp_path / "c2.pfbin"))
+        a, b = count2d_index.directory, clone.directory
         for attr in (
             "keys",
             "lows",
@@ -200,7 +196,7 @@ class TestRoundTrip2D:
             xs, ys, measures=weights, aggregate=Aggregate.SUM, delta=500.0,
             grid_resolution=32,
         )
-        clone = load_index_binary(_save(index, tmp_path / "s2.pfbin"))
+        clone = load_index(_save(index, tmp_path / "s2.pfbin"))
         assert clone.aggregate is Aggregate.SUM
         query = RangeQuery2D(
             float(np.quantile(xs, 0.2)),
@@ -222,7 +218,7 @@ class TestExtremePayloadV2:
         measures = np.random.default_rng(23).uniform(0.0, 50.0, xs.size)
         count2d_index.directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
         try:
-            clone = load_index_binary(
+            clone = load_index(
                 _save(count2d_index, tmp_path / "ext.pfbin"), mmap=mmap
             )
             restored = clone.directory.point_extremes
@@ -246,16 +242,16 @@ class TestExtremePayloadV2:
     def test_index_without_extremes_has_no_payload_after_load(
         self, count2d_index, tmp_path
     ):
-        clone = load_index_binary(_save(count2d_index, tmp_path / "plain.pfbin"))
+        clone = load_index(_save(count2d_index, tmp_path / "plain.pfbin"))
         assert clone.directory.point_extremes is None
 
     def test_v1_files_still_load(self, count_index, tmp_path):
         path = tmp_path / "v1.pfbin"
-        save_index_binary(count_index, path)
+        save_index(count_index, path)
         meta, arrays = read_array_store(path, mmap=False)
         meta["format_version"] = 1
         write_array_store(path, dict(arrays), meta)
-        clone = load_index_binary(path)
+        clone = load_index(path)
         assert isinstance(clone, PolyFitIndex)
 
 
@@ -267,18 +263,17 @@ class TestFormatDispatch:
 
     def test_save_index_explicit_binary_any_suffix(self, count_index, tmp_path):
         path = tmp_path / "explicit.dat"
-        save_index(count_index, path, format="binary")
+        save_index(count_index, path)
         assert path.read_bytes()[: len(BINARY_MAGIC)] == BINARY_MAGIC
         assert isinstance(load_index(path), PolyFitIndex)
 
-    def test_save_index_unknown_format_rejected(self, count_index, tmp_path):
-        with pytest.raises(SerializationError):
-            save_index(count_index, tmp_path / "x.bin", format="msgpack")
-
-    def test_load_index_sniffs_json(self, count_index, tmp_path):
+    def test_load_index_sniffs_json(self, tmp_path):
+        # A file without the codec magic (here a JSON document) is rejected
+        # with a typed error, never parsed as some other format.
         path = tmp_path / "index.json"
-        save_index(count_index, path, format="json")
-        assert isinstance(load_index(path), PolyFitIndex)
+        path.write_text(json.dumps({"format_version": 1, "aggregate": "count"}))
+        with pytest.raises(SerializationError, match="bad magic"):
+            load_index(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):
@@ -288,16 +283,16 @@ class TestFormatDispatch:
         path = tmp_path / "alien.pfbin"
         write_array_store(path, {"x": np.zeros(2)}, {"format_version": 1, "kind": "alien"})
         with pytest.raises(SerializationError):
-            load_index_binary(path)
+            load_index(path)
 
     def test_binary_load_of_wrong_version_rejected(self, count_index, tmp_path):
         path = tmp_path / "old.pfbin"
-        save_index_binary(count_index, path)
+        save_index(count_index, path)
         meta, arrays = read_array_store(path, mmap=False)
         meta["format_version"] = 999
         write_array_store(path, dict(arrays), meta)
         with pytest.raises(SerializationError):
-            load_index_binary(path)
+            load_index(path)
 
 
 def _save(index, path):

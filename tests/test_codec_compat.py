@@ -19,8 +19,8 @@ from repro import (
     Aggregate,
     PolyFitIndex,
     SerializationError,
-    load_index_binary,
-    save_index_binary,
+    load_index,
+    save_index,
 )
 from repro.index.codec import BINARY_MAGIC, read_array_store, write_array_store
 from repro.stream import UpdatablePolyFitIndex
@@ -49,9 +49,9 @@ class TestVersionCompatibility:
         # rewriting the stamp reproduces a genuine pre-v2 artifact.
         index = _build_index(aggregate)
         path = tmp_path / "index.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         _rewrite_version(path, 1)
-        loaded = load_index_binary(path)
+        loaded = load_index(path)
         lows = np.linspace(0.0, 900.0, 50)
         highs = lows + 80.0
         assert np.array_equal(
@@ -66,9 +66,9 @@ class TestVersionCompatibility:
         updatable = UpdatablePolyFitIndex.wrap(index)
         updatable.insert(np.array([1.5, 2.5, 3.5]))
         path = tmp_path / "updatable.pfbin"
-        save_index_binary(updatable, path)
+        save_index(updatable, path)
         _rewrite_version(path, 1)
-        loaded = load_index_binary(path)
+        loaded = load_index(path)
         assert loaded.buffer_size == updatable.buffer_size
         lows = np.array([0.0, 500.0])
         highs = np.array([100.0, 600.0])
@@ -80,46 +80,46 @@ class TestVersionCompatibility:
     def test_unsupported_future_version_raises(self, tmp_path):
         index = _build_index()
         path = tmp_path / "index.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         _rewrite_version(path, 99)
         with pytest.raises(SerializationError, match="version"):
-            load_index_binary(path)
+            load_index(path)
 
 
 class TestCorruption:
     def test_corrupted_magic_raises_typed_error(self, tmp_path):
         index = _build_index()
         path = tmp_path / "index.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         data = bytearray(path.read_bytes())
         data[: len(BINARY_MAGIC)] = b"X" * len(BINARY_MAGIC)
         path.write_bytes(bytes(data))
         with pytest.raises(SerializationError, match="magic"):
-            load_index_binary(path)
+            load_index(path)
 
     def test_file_shorter_than_magic_raises(self, tmp_path):
         path = tmp_path / "stub.pfbin"
         path.write_bytes(b"PF")
         with pytest.raises(SerializationError):
-            load_index_binary(path)
+            load_index(path)
 
     def test_truncated_header_raises(self, tmp_path):
         index = _build_index()
         path = tmp_path / "index.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(BINARY_MAGIC) + 12])  # magic + length + 4 bytes
         with pytest.raises(SerializationError):
-            load_index_binary(path)
+            load_index(path)
 
     def test_truncated_blob_raises(self, tmp_path):
         index = _build_index()
         path = tmp_path / "index.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 64])
         with pytest.raises(SerializationError, match="truncated"):
-            load_index_binary(path, mmap=False)
+            load_index(path, mmap=False)
 
     def test_garbage_header_raises(self, tmp_path):
         import struct
@@ -128,13 +128,13 @@ class TestCorruption:
         body = b"{definitely not json"
         path.write_bytes(BINARY_MAGIC + struct.pack("<Q", len(body)) + body)
         with pytest.raises(SerializationError, match="malformed"):
-            load_index_binary(path)
+            load_index(path)
 
     def test_unknown_kind_raises(self, tmp_path):
         index = _build_index()
         path = tmp_path / "index.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         meta, arrays = read_array_store(path, mmap=False)
         write_array_store(path, dict(arrays), {**meta, "kind": "mystery9d"})
         with pytest.raises(SerializationError, match="kind"):
-            load_index_binary(path)
+            load_index(path)

@@ -18,12 +18,11 @@ from repro import (
     QuadDirectory,
     RangeQuery2D,
     SegmentDirectory,
-    index_from_dict,
-    index_to_dict,
     load_index,
     save_index,
 )
 from repro.errors import QueryError, SerializationError
+from repro.index.codec import read_array_store, write_array_store
 from repro.fitting.quadtree import linearize_quadtree, morton_interleave2
 from repro.index.directory import RangeExtremeTable, _axis_cells, _dyadic_boundaries
 
@@ -247,9 +246,27 @@ class TestRangeExtremeTable:
             table.query(np.array([0]), np.array([10]))
 
 
+def _codec_clone(index, tmp_path):
+    path = tmp_path / "index.pfbin"
+    save_index(index, path)
+    return load_index(path)
+
+
+def _rewrite_codec_file(index, tmp_path, edit):
+    """Save ``index``, let ``edit(meta, arrays)`` damage the payload, and
+    write it back as a well-formed, CRC-valid codec file."""
+    path = tmp_path / "edited.pfbin"
+    save_index(index, path)
+    meta, arrays = read_array_store(path, mmap=False)
+    arrays = {name: np.array(array) for name, array in arrays.items()}
+    edit(meta, arrays)
+    write_array_store(path, arrays, meta)
+    return path
+
+
 class TestDirectorySerialization:
-    def test_1d_flat_arrays_round_trip(self, count_index):
-        clone = index_from_dict(index_to_dict(count_index))
+    def test_1d_flat_arrays_round_trip(self, count_index, tmp_path):
+        clone = _codec_clone(count_index, tmp_path)
         original = count_index._directory
         restored = clone._directory
         assert np.array_equal(original.keys, restored.keys)
@@ -258,8 +275,8 @@ class TestDirectorySerialization:
         assert np.array_equal(original.errors, restored.errors)
         assert np.array_equal(original.bank.coeffs, restored.bank.coeffs)
 
-    def test_2d_flat_arrays_round_trip(self, count2d_index):
-        clone = index_from_dict(index_to_dict(count2d_index))
+    def test_2d_flat_arrays_round_trip(self, count2d_index, tmp_path):
+        clone = _codec_clone(count2d_index, tmp_path)
         original = count2d_index.directory
         restored = clone.directory
         assert isinstance(restored, QuadDirectory)
@@ -276,9 +293,7 @@ class TestDirectorySerialization:
 
     def test_2d_round_trip_answers_agree(self, count2d_index, osm_small, tmp_path):
         xs, ys = osm_small
-        path = tmp_path / "index2d.json"
-        save_index(count2d_index, path)
-        clone = load_index(path)
+        clone = _codec_clone(count2d_index, tmp_path)
         rng = np.random.default_rng(41)
         x1 = rng.uniform(xs.min(), xs.max(), 40)
         x2 = np.maximum(x1, rng.uniform(xs.min(), xs.max(), 40))
@@ -292,24 +307,30 @@ class TestDirectorySerialization:
         assert clone.query(query).value == count2d_index.query(query).value
         assert clone.exact(query) == count2d_index.exact(query)
 
-    def test_2d_wrong_version_rejected(self, count2d_index):
-        payload = index_to_dict(count2d_index)
-        payload["format_version"] = 999
-        with pytest.raises(SerializationError):
-            index_from_dict(payload)
+    def test_2d_wrong_version_rejected(self, count2d_index, tmp_path):
+        def edit(meta, arrays):
+            meta["format_version"] = 999
 
-    def test_2d_malformed_directory_rejected(self, count2d_index):
-        payload = index_to_dict(count2d_index)
-        del payload["directory"]["keys"]
+        path = _rewrite_codec_file(count2d_index, tmp_path, edit)
         with pytest.raises(SerializationError):
-            index_from_dict(payload)
+            load_index(path)
 
-    def test_2d_unsorted_morton_keys_rejected(self, count2d_index):
-        payload = index_to_dict(count2d_index)
-        keys = payload["directory"]["keys"]
-        keys[0], keys[-1] = keys[-1], keys[0]
+    def test_2d_malformed_directory_rejected(self, count2d_index, tmp_path):
+        def edit(meta, arrays):
+            del arrays["dir_keys"]
+
+        path = _rewrite_codec_file(count2d_index, tmp_path, edit)
         with pytest.raises(SerializationError):
-            index_from_dict(payload)
+            load_index(path)
+
+    def test_2d_unsorted_morton_keys_rejected(self, count2d_index, tmp_path):
+        def edit(meta, arrays):
+            keys = arrays["dir_keys"]
+            keys[0], keys[-1] = keys[-1], keys[0]
+
+        path = _rewrite_codec_file(count2d_index, tmp_path, edit)
+        with pytest.raises(SerializationError, match="strictly increasing"):
+            load_index(path)
 
 
 class TestExtremeBatchAgainstScalarLoop:

@@ -272,8 +272,7 @@ class TestParallelQuadtreeBuild:
         exact = build_cumulative_2d(xs, ys)
         return exact.sample_grid(resolution=64)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_build_bit_identical(self, sampled_grid, executor):
+    def test_parallel_build_bit_identical(self, sampled_grid):
         grid_x, grid_y, grid_cf = sampled_grid
         serial = build_quadtree_surface(
             grid_x, grid_y, grid_cf, QuadTreeConfig(delta=200.0)
@@ -282,7 +281,7 @@ class TestParallelQuadtreeBuild:
             grid_x,
             grid_y,
             grid_cf,
-            QuadTreeConfig(delta=200.0, build_executor=executor, build_workers=2),
+            QuadTreeConfig(delta=200.0, build_workers=2),
         )
         assert quadtree_build_signature(serial) == quadtree_build_signature(parallel)
 

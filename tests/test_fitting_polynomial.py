@@ -132,16 +132,6 @@ class TestPolynomial1DExtreme:
             assert maximum >= np.max(poly(grid)) - 1e-6
 
 
-class TestPolynomial1DSerialization:
-    def test_round_trip(self):
-        poly = Polynomial1D(np.array([1.0, -2.0, 0.5]), shift=3.0, scale=7.0)
-        clone = Polynomial1D.from_dict(poly.to_dict())
-        np.testing.assert_array_equal(clone.coeffs, poly.coeffs)
-        assert clone.shift == poly.shift
-        assert clone.scale == poly.scale
-        assert clone(4.2) == poly(4.2)
-
-
 class TestPolynomial2D:
     def test_term_count_matches_total_degree(self):
         # degree 2: terms 1, u, v, u^2, uv, v^2 -> 6 coefficients

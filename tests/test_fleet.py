@@ -564,7 +564,7 @@ class TestShardedRouter:
         )
         sharded = IndexFleet.build(
             keys, measures, Aggregate.SUM, delta=25.0, config=FAST,
-            num_partitions=4, num_shards=2, executor="thread",
+            num_partitions=4, num_shards=2,
         )
         lows, highs = _queries(m=400, seed=14)
         try:

@@ -22,7 +22,7 @@ from repro.errors import SerializationError
 from repro.fleet import persistence
 from repro.fsck import fsck_path
 from repro.index.atomic import atomic_write
-from repro.index.codec import save_index_binary
+from repro.index.codec import read_array_store, save_index, write_array_store
 from repro.stream import WriteAheadLog
 from repro.testing.faults import CrashPoint, FaultyFile, flip_bit
 
@@ -40,7 +40,19 @@ def codec_file(tmp_path):
                                         delta=25.0, config=FAST)
     index.insert(np.array([1.5, 2.5]))
     path = tmp_path / "index.pfbin"
-    save_index_binary(index, path)
+    save_index(index, path)
+    return path
+
+
+def _swapped_morton_file(index2d, tmp_path):
+    """A CRC-valid codec file with two leaf Morton keys swapped."""
+    path = tmp_path / "swapped.pfbin"
+    save_index(index2d, path)
+    meta, arrays = read_array_store(path, mmap=False)
+    arrays = {name: np.array(array) for name, array in arrays.items()}
+    keys = arrays["dir_keys"]
+    keys[0], keys[-1] = keys[-1], keys[0]
+    write_array_store(path, arrays, meta)
     return path
 
 
@@ -74,6 +86,20 @@ class TestFsckModule:
         assert not report.ok
         assert report.issues[0].kind == "codec-corrupt"
         assert "checksum" in report.issues[0].message
+
+    def test_unsorted_morton_keys_are_codec_corrupt(self, count2d_index, tmp_path):
+        # CRC-valid file whose 2-D leaf directory fails structural
+        # validation on load: a typed report, never an exception.
+        path = _swapped_morton_file(count2d_index, tmp_path)
+        report = fsck_path(path)
+        assert not report.ok and report.issues[0].kind == "codec-corrupt"
+        assert "strictly increasing" in report.issues[0].message
+
+    def test_file_without_magic_is_unreadable(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text('{"format_version": 1}')
+        report = fsck_path(path)
+        assert not report.ok and report.issues[0].kind == "unreadable"
 
     def test_clean_wal(self, wal_file):
         report = fsck_path(wal_file)
@@ -139,6 +165,11 @@ class TestFsckCli:
     def test_exit_one_when_corrupt(self, codec_file, capsys):
         flip_bit(codec_file, codec_file.stat().st_size - 3)
         assert main(["fsck", str(codec_file)]) == 1
+        assert "codec-corrupt" in capsys.readouterr().out
+
+    def test_exit_one_on_unsorted_morton_keys(self, count2d_index, tmp_path, capsys):
+        path = _swapped_morton_file(count2d_index, tmp_path)
+        assert main(["fsck", str(path)]) == 1
         assert "codec-corrupt" in capsys.readouterr().out
 
     def test_json_output(self, wal_file, capsys):

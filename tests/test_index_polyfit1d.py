@@ -83,6 +83,35 @@ class TestBuild:
         index = PolyFitIndex.from_function(cf, delta=100.0)
         assert index.aggregate is Aggregate.COUNT
 
+    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM, Aggregate.MAX])
+    def test_from_function_matches_build_with_duplicate_keys(self, aggregate):
+        # The function's samples are segmented as they are: a cumulative
+        # function's running sums must not be re-read as raw measures.
+        from repro.functions import build_cumulative_function, build_key_measure_function
+
+        rng = np.random.default_rng(17)
+        keys = rng.integers(0, 1000, 5000).astype(np.float64)
+        measures = rng.uniform(1.0, 10.0, keys.size)
+        if aggregate.is_cumulative:
+            function = build_cumulative_function(keys, measures, aggregate=aggregate)
+        else:
+            function = build_key_measure_function(keys, measures, aggregate=aggregate)
+        from_function = PolyFitIndex.from_function(function, delta=50.0)
+        built = PolyFitIndex.build(keys, measures, aggregate, delta=50.0)
+
+        lows = np.array([100.0, 0.0, 250.5, 999.0])
+        highs = np.array([600.0, 1000.0, 251.5, 999.0])
+        assert np.array_equal(
+            from_function.exact_batch(lows, highs),
+            built.exact_batch(lows, highs),
+            equal_nan=True,
+        )
+        for guarantee in (None, Guarantee.relative(0.01)):
+            got = from_function.query_batch(lows, highs, guarantee)
+            want = built.query_batch(lows, highs, guarantee)
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            assert np.array_equal(got.exact_fallback, want.exact_fallback)
+
 
 class TestCountQueries:
     def test_absolute_guarantee_holds(self, count_index, tweet_small):

@@ -1,4 +1,11 @@
-"""Tests for index serialization (JSON round-tripping)."""
+"""Tests for index serialization through the codec.
+
+``TestDictRoundTrip`` covers the codec's in-memory payload — the ``meta``
+dict (the JSON header) and the named ``arrays`` dict of
+:func:`~repro.index.codec.read_array_store` — re-written with
+:func:`~repro.index.codec.write_array_store` and loaded back;
+``TestFileRoundTrip`` covers :func:`save_index`/:func:`load_index` files.
+"""
 
 import json
 
@@ -11,19 +18,30 @@ from repro import (
     PolyFitIndex,
     RangeQuery,
     generate_range_queries,
-    index_from_dict,
-    index_to_dict,
     load_index,
     save_index,
 )
 from repro.errors import SerializationError
+from repro.index.codec import read_array_store, write_array_store
+
+
+def _payload(index, tmp_path):
+    """The codec's ``(meta, arrays)`` payload of ``index``."""
+    path = tmp_path / "payload.pfbin"
+    save_index(index, path)
+    return read_array_store(path, mmap=False)
+
+
+def _from_payload(meta, arrays, tmp_path):
+    path = tmp_path / "rewritten.pfbin"
+    write_array_store(path, arrays, meta)
+    return load_index(path)
 
 
 class TestDictRoundTrip:
-    def test_count_index_round_trip(self, count_index, tweet_small):
+    def test_count_index_round_trip(self, count_index, tweet_small, tmp_path):
         keys, _ = tweet_small
-        payload = index_to_dict(count_index)
-        clone = index_from_dict(payload)
+        clone = _from_payload(*_payload(count_index, tmp_path), tmp_path)
         assert clone.num_segments == count_index.num_segments
         assert clone.delta == count_index.delta
         queries = generate_range_queries(keys, 30, Aggregate.COUNT, seed=1)
@@ -32,9 +50,9 @@ class TestDictRoundTrip:
                 count_index.query_value(query.low, query.high)
             )
 
-    def test_max_index_round_trip(self, max_index, hki_small):
+    def test_max_index_round_trip(self, max_index, hki_small, tmp_path):
         keys, _ = hki_small
-        clone = index_from_dict(index_to_dict(max_index))
+        clone = _from_payload(*_payload(max_index, tmp_path), tmp_path)
         queries = generate_range_queries(keys, 30, Aggregate.MAX, seed=2)
         for query in queries:
             original = max_index.query(query).value
@@ -43,35 +61,36 @@ class TestDictRoundTrip:
                 continue
             assert restored == pytest.approx(original)
 
-    def test_payload_is_json_serializable(self, count_index):
-        payload = index_to_dict(count_index)
-        text = json.dumps(payload)
-        assert isinstance(json.loads(text), dict)
+    def test_payload_is_json_serializable(self, count2d_index, tmp_path):
+        # The meta dict is the file's JSON header — including the inline
+        # 2-D quadtree oracle — so it must survive a JSON text round trip.
+        meta, _ = _payload(count2d_index, tmp_path)
+        assert json.loads(json.dumps(meta)) == meta
 
-    def test_guarantees_preserved_after_round_trip(self, count_index, tweet_small):
+    def test_guarantees_preserved_after_round_trip(self, count_index, tweet_small, tmp_path):
         keys, _ = tweet_small
-        clone = index_from_dict(index_to_dict(count_index))
+        clone = _from_payload(*_payload(count_index, tmp_path), tmp_path)
         queries = generate_range_queries(keys, 30, Aggregate.COUNT, seed=3)
         for query in queries:
             result = clone.query(query, Guarantee.absolute(100.0))
             exact = clone.exact(query)
             assert abs(result.value - exact) <= 100.0 + 1e-6
 
-    def test_malformed_payload_rejected(self):
+    def test_malformed_payload_rejected(self, tmp_path):
         with pytest.raises(SerializationError):
-            index_from_dict({"format_version": 1})
+            _from_payload({"format_version": 1}, {}, tmp_path)
 
-    def test_wrong_version_rejected(self, count_index):
-        payload = index_to_dict(count_index)
-        payload["format_version"] = 999
+    def test_wrong_version_rejected(self, count_index, tmp_path):
+        meta, arrays = _payload(count_index, tmp_path)
+        meta["format_version"] = 999
         with pytest.raises(SerializationError):
-            index_from_dict(payload)
+            _from_payload(meta, dict(arrays), tmp_path)
 
 
 class TestFileRoundTrip:
     def test_save_and_load(self, count_index, tmp_path, tweet_small):
         keys, _ = tweet_small
-        path = tmp_path / "index.json"
+        path = tmp_path / "index.pfbin"
         save_index(count_index, path)
         restored = load_index(path)
         assert restored.num_segments == count_index.num_segments
@@ -82,10 +101,10 @@ class TestFileRoundTrip:
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):
-            load_index(tmp_path / "missing.json")
+            load_index(tmp_path / "missing.pfbin")
 
     def test_load_corrupted_file(self, tmp_path):
-        path = tmp_path / "corrupt.json"
+        path = tmp_path / "corrupt.pfbin"
         path.write_text("{not json")
         with pytest.raises(SerializationError):
             load_index(path)
@@ -93,7 +112,7 @@ class TestFileRoundTrip:
     def test_serialized_sum_index(self, tweet_small, tmp_path):
         keys, measures = tweet_small
         index = PolyFitIndex.build(keys, measures, aggregate=Aggregate.SUM, delta=100.0)
-        path = tmp_path / "sum.json"
+        path = tmp_path / "sum.pfbin"
         save_index(index, path)
         clone = load_index(path)
         assert clone.aggregate is Aggregate.SUM

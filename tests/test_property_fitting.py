@@ -115,17 +115,3 @@ class TestPolynomialProperties:
         tolerance = 1e-6 * max(1.0, np.max(np.abs(sampled)))
         assert maximum >= sampled.max() - tolerance
         assert minimum <= sampled.min() + tolerance
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        coeffs=st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False),
-            min_size=1,
-            max_size=5,
-        ),
-        k=st.floats(min_value=-1000, max_value=1000, allow_nan=False),
-    )
-    def test_serialization_round_trip_preserves_values(self, coeffs, k):
-        poly = Polynomial1D(np.asarray(coeffs), shift=1.5, scale=3.0)
-        clone = Polynomial1D.from_dict(poly.to_dict())
-        assert clone(k) == pytest.approx(poly(k), rel=1e-12, abs=1e-12)

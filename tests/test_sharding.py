@@ -1,9 +1,10 @@
 """Tests for the sharded parallel batch execution layer.
 
-The contract under test: for every executor and shard count, the sharded
-engine's answers are *bit-identical* to the serial batch path (chunk
-evaluation is element-independent in all batch kernels), results come back
-in input order, and small workloads fall back to the serial path.
+The contract under test: for every shard count and both execution paths
+(the serial fallback and the thread pool), the sharded engine's answers are
+*bit-identical* to the serial batch path (chunk evaluation is
+element-independent in all batch kernels), results come back in input
+order, and small workloads fall back to the serial path.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from repro import Aggregate, Guarantee, QueryEngine, ShardedQueryEngine
 from repro.errors import QueryError
-from repro.index.codec import save_index_binary
 from repro.queries import generate_range_queries, queries_to_bounds
 from repro.queries.sharding import shard_slices
 
 SHARD_COUNTS = [1, 2, 7]
-EXECUTORS = ["serial", "thread", "process"]
+#: The engine's two execution paths, selected through the serial-fallback
+#: threshold: ``min_queries_per_shard`` above every workload here keeps
+#: the engine serial; 1 always fans out over the thread pool.
+PATHS = {"serial": 10**9, "thread": 1}
 
 
 @pytest.fixture(scope="module")
@@ -67,25 +70,24 @@ class TestShardSlices:
 
 
 class TestShardedEquivalence1D:
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_estimate_bit_identical(self, count_index, count_bounds, executor, num_shards):
+    def test_estimate_bit_identical(self, count_index, count_bounds, path, num_shards):
         serial = count_index.estimate_batch(*count_bounds)
         with ShardedQueryEngine(
             index=count_index,
             num_shards=num_shards,
-            executor=executor,
-            min_queries_per_shard=1,
+            min_queries_per_shard=PATHS[path],
         ) as engine:
             sharded = engine.estimate_batch(*count_bounds)
         assert sharded.dtype == serial.dtype
         assert np.array_equal(sharded, serial)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_exact_bit_identical(self, count_index, count_bounds, executor):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_exact_bit_identical(self, count_index, count_bounds, path):
         serial = count_index.exact_batch(*count_bounds)
         with ShardedQueryEngine(
-            index=count_index, num_shards=7, executor=executor, min_queries_per_shard=1
+            index=count_index, num_shards=7, min_queries_per_shard=PATHS[path]
         ) as engine:
             assert np.array_equal(engine.exact_batch(*count_bounds), serial)
 
@@ -96,7 +98,6 @@ class TestShardedEquivalence1D:
         with ShardedQueryEngine(
             index=count_index,
             num_shards=num_shards,
-            executor="thread",
             min_queries_per_shard=1,
         ) as engine:
             sharded = engine.query_batch(*count_bounds, guarantee=guarantee)
@@ -112,7 +113,7 @@ class TestShardedEquivalence1D:
         lows, highs = np.minimum(a[0], a[1]), np.maximum(a[0], a[1])
         serial = max_index.estimate_batch(lows, highs)
         with ShardedQueryEngine(
-            index=max_index, num_shards=7, executor="thread", min_queries_per_shard=1
+            index=max_index, num_shards=7, min_queries_per_shard=1
         ) as engine:
             assert np.array_equal(engine.estimate_batch(lows, highs), serial, equal_nan=True)
 
@@ -120,13 +121,13 @@ class TestShardedEquivalence1D:
         lows, highs = count_bounds[0][:3], count_bounds[1][:3]
         serial = count_index.estimate_batch(lows, highs)
         with ShardedQueryEngine(
-            index=count_index, num_shards=7, executor="thread", min_queries_per_shard=1
+            index=count_index, num_shards=7, min_queries_per_shard=1
         ) as engine:
             assert np.array_equal(engine.estimate_batch(lows, highs), serial)
 
     def test_small_workload_serial_fallback_threshold(self, count_index, count_bounds):
         # Default threshold: 5k queries over 7 shards stays serial (no pool).
-        engine = ShardedQueryEngine(index=count_index, num_shards=7, executor="thread")
+        engine = ShardedQueryEngine(index=count_index, num_shards=7)
         serial = count_index.estimate_batch(*count_bounds)
         assert np.array_equal(engine.estimate_batch(*count_bounds), serial)
         assert engine._pool is None  # noqa: SLF001 - asserting the fallback took effect
@@ -134,24 +135,14 @@ class TestShardedEquivalence1D:
 
 
 class TestShardedEquivalence2D:
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("num_shards", [2, 7])
-    def test_estimate_bit_identical(self, count2d_index, rect_bounds, executor, num_shards):
+    def test_estimate_bit_identical(self, count2d_index, rect_bounds, path, num_shards):
         serial = count2d_index.estimate_batch(*rect_bounds)
         with ShardedQueryEngine(
             index=count2d_index,
             num_shards=num_shards,
-            executor=executor,
-            min_queries_per_shard=1,
-        ) as engine:
-            assert np.array_equal(engine.estimate_batch(*rect_bounds), serial)
-
-    def test_process_workers_from_mmap_path(self, count2d_index, rect_bounds, tmp_path):
-        path = tmp_path / "index2d.pfbin"
-        save_index_binary(count2d_index, path)
-        serial = count2d_index.estimate_batch(*rect_bounds)
-        with ShardedQueryEngine.from_path(
-            path, num_shards=2, executor="process", min_queries_per_shard=1
+            min_queries_per_shard=PATHS[path],
         ) as engine:
             assert np.array_equal(engine.estimate_batch(*rect_bounds), serial)
 
@@ -174,7 +165,6 @@ class TestShardedProperty:
         with ShardedQueryEngine(
             index=count_index,
             num_shards=num_shards,
-            executor="thread",
             min_queries_per_shard=1,
         ) as engine:
             assert np.array_equal(engine.estimate_batch(lows, highs), serial)
@@ -185,9 +175,7 @@ class TestEngineIntegration:
         keys, _ = tweet_small
         queries = generate_range_queries(keys, 200, Aggregate.COUNT, seed=9)
         baseline = QueryEngine.for_index(count_index, "serial")
-        sharded = QueryEngine.for_index(
-            count_index, "sharded", num_shards=4, executor="thread"
-        )
+        sharded = QueryEngine.for_index(count_index, "sharded", num_shards=4)
         try:
             expected = baseline.run(queries)
             got = sharded.run(queries)
@@ -219,14 +207,6 @@ def _bounds_to_queries(bounds):
 
 
 class TestValidation:
-    def test_unknown_executor_rejected(self, count_index):
-        with pytest.raises(QueryError):
-            ShardedQueryEngine(index=count_index, executor="gpu")
-
-    def test_missing_index_rejected(self):
-        with pytest.raises(QueryError):
-            ShardedQueryEngine()
-
     def test_bad_shard_count_rejected(self, count_index):
         with pytest.raises(QueryError):
             ShardedQueryEngine(index=count_index, num_shards=0)

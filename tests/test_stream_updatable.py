@@ -29,7 +29,6 @@ from repro import (
     UpdatablePolyFitIndex,
     load_index,
     save_index,
-    save_index_binary,
 )
 from repro.config import FitConfig, IndexConfig
 from repro.errors import DataError, QueryError
@@ -437,8 +436,7 @@ class TestSnapshotOverlay:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("format", ["binary", "json"])
-    def test_round_trip_preserves_snapshot(self, tmp_path, format):
+    def test_round_trip_preserves_snapshot(self, tmp_path):
         rng = np.random.default_rng(80)
         keys = np.sort(rng.uniform(0, 500, 1200))
         index = UpdatablePolyFitIndex.build(
@@ -449,11 +447,8 @@ class TestPersistence:
         index.compact()
         index.insert(rng.uniform(0, 900, 150))
 
-        path = tmp_path / ("u.pfbin" if format == "binary" else "u.json")
-        if format == "binary":
-            save_index_binary(index, path)
-        else:
-            save_index(index, path, format="json")
+        path = tmp_path / "u.pfbin"
+        save_index(index, path)
         clone = load_index(path)
         assert isinstance(clone, UpdatablePolyFitIndex)
         assert clone.epoch == index.epoch
@@ -476,11 +471,11 @@ class TestPersistence:
         )
         index.insert(rng.uniform(0, 700, 400))
         path = tmp_path / "u.pfbin"
-        save_index_binary(index, path)
+        save_index(index, path)
         lows, highs = _bounds(rng, (0.0, 700.0), 2000)
         reference = index.estimate_batch(lows, highs)
-        with ShardedQueryEngine.from_path(
-            path, num_shards=2, executor="thread", min_queries_per_shard=1
+        with ShardedQueryEngine(
+            load_index(path), num_shards=2, min_queries_per_shard=1
         ) as engine:
             assert np.array_equal(engine.estimate_batch(lows, highs), reference)
 

@@ -25,7 +25,7 @@ import numpy as np  # noqa: E402
 from repro import Aggregate, IndexFleet, UpdatablePolyFitIndex, save_fleet  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.config import FitConfig, IndexConfig, SegmentationConfig  # noqa: E402
-from repro.index.codec import save_index_binary  # noqa: E402
+from repro.index.codec import save_index  # noqa: E402
 from repro.stream import WriteAheadLog  # noqa: E402
 from repro.testing.faults import flip_bit  # noqa: E402
 
@@ -42,7 +42,7 @@ def run() -> int:
             keys, aggregate=Aggregate.COUNT, delta=25.0, config=FAST
         )
         index.insert(np.array([1.5, 2.5]))
-        save_index_binary(index, codec_path)
+        save_index(index, codec_path)
 
         wal_path = scratch / "ingest.wal"
         with WriteAheadLog(wal_path) as wal:
