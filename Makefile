@@ -5,7 +5,8 @@
 #                       when ruff is not installed; CI always installs it)
 #   make smoke-batch  - fast perf gate: batch/scalar equivalence (1-D and
 #                       2-D, including the flat cell-directory property
-#                       tests), sharding/codec round-trips, the durability
+#                       tests), the certified-view protocol conformance
+#                       table, sharding/codec round-trips, the durability
 #                       fault tests (WAL crash-point sweep, degraded fleet
 #                       reads, fsck, serve resilience) and the scaled-down
 #                       systems benches (their artifacts land in the
@@ -49,6 +50,12 @@
 #                       index, drive traffic through every layer, and
 #                       require GET /metrics to be valid Prometheus text
 #                       covering serve, cache, shard, WAL and compaction
+#   make perfbench-selftest - the benchmark's own self-test: a tiny run of
+#                       every perfbench workload, untraced and traced, must
+#                       emit every metric BENCHMARK.json names (so a renamed
+#                       method the tracer wraps, or a per-layer metric that
+#                       stops being produced, fails here), and the answer
+#                       gate must trip on a perturbed answer (~1 min)
 #   make docs-lint    - README/docs link + anchor checker, every
 #                       BENCH_*.json named in the docs must be emitted by a
 #                       benchmark (and vice versa), and every metric name
@@ -58,7 +65,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability bench-obs
+.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke perfbench-selftest bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability bench-obs
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -72,8 +79,8 @@ lint:
 
 smoke-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_equivalence.py tests/test_batch_smoke.py \
-		tests/test_directory.py tests/test_sharding.py tests/test_codec.py \
-		tests/test_codec_compat.py tests/test_fitting_incremental.py \
+		tests/test_view_protocol.py tests/test_directory.py tests/test_sharding.py \
+		tests/test_codec.py tests/test_codec_compat.py tests/test_fitting_incremental.py \
 		tests/test_stream_updatable.py tests/test_stream_2d.py \
 		tests/test_serve_coalescer.py tests/test_serve_http.py \
 		tests/test_fleet.py \
@@ -90,6 +97,9 @@ fsck-smoke:
 
 metrics-smoke:
 	@$(PYTHON) tools/metrics_smoke.py
+
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench/selftest.py -q
 
 bench-batch:
 	$(PYTHON) benchmarks/bench_batch_throughput.py

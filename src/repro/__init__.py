@@ -90,7 +90,6 @@ from .fleet import (
     FleetPolicy,
     FleetRouter,
     IndexFleet,
-    FleetSnapshot,
     Fleet2D,
     save_fleet,
     load_fleet,
@@ -168,7 +167,6 @@ __all__ = [
     "FleetPolicy",
     "FleetRouter",
     "IndexFleet",
-    "FleetSnapshot",
     "Fleet2D",
     "save_fleet",
     "load_fleet",

@@ -21,8 +21,8 @@ import numpy as np
 from ..config import Aggregate, GuaranteeKind
 from ..errors import DataError, NotSupportedError
 from ..functions.cumulative import CumulativeFunction, build_cumulative_function
-from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
+from ..queries.batch import CertifiedView
+from ..queries.types import Guarantee, QueryResult, RangeQuery
 
 __all__ = ["LinearSegment", "FITingTree"]
 
@@ -124,12 +124,17 @@ def shrinking_cone_segmentation(
     return segments
 
 
-class FITingTree:
+class FITingTree(CertifiedView):
     """FITing-tree adapted to approximate range aggregate queries.
 
     Only COUNT and SUM are supported (Table IV of the paper: FITing-tree has
-    no MAX or two-key support).
+    no MAX or two-key support).  The batch surface comes from
+    :class:`~repro.queries.batch.CertifiedView` with
+    ``absolute_fallback = True``: like the scalar :meth:`query`, an
+    unmeetable absolute guarantee answers exactly (unlike PolyFit).
     """
+
+    absolute_fallback = True
 
     def __init__(self, segments: list[LinearSegment], cumulative: CumulativeFunction, error_budget: float) -> None:
         self._segments = segments
@@ -214,33 +219,16 @@ class FITingTree:
             position
         ]
 
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`estimate` over N ranges."""
-        lows, highs = validate_bounds_batch(lows, highs)
+    def _approx(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Vectorized :meth:`estimate` over N ranges, with bound ``2 * budget``."""
         lower = np.where(
             lows < self._segments[0].key_low, 0.0, self.predict_cumulative_batch(lows)
         )
-        return self.predict_cumulative_batch(highs) - lower
+        return self.predict_cumulative_batch(highs) - lower, 2.0 * self._error_budget
 
-    def query_batch(
-        self, lows: np.ndarray, highs: np.ndarray, guarantee: Guarantee | None = None
-    ) -> BatchQueryResult:
-        """Batch counterpart of :meth:`query` (vectorized certificates).
-
-        Like the scalar path, an unmeetable absolute guarantee answers
-        exactly (absolute_fallback=True, unlike PolyFit).
-        """
-        lows, highs = validate_bounds_batch(lows, highs)
-        approx = self.estimate_batch(lows, highs)
-        return resolve_batch_certificates(
-            approx,
-            error_bound=2.0 * self._error_budget,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self._cumulative.range_sum_batch(
-                lows[mask], highs[mask]
-            ),
-            absolute_fallback=True,
-        )
+    def _exact(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """Exact answers from the underlying cumulative function."""
+        return self._cumulative.range_sum_batch(lows, highs)
 
     def query(self, query: RangeQuery, guarantee: Guarantee | None = None) -> QueryResult:
         """Answer with PolyFit-style guarantee semantics (Lemmas 2-3)."""

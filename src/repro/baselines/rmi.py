@@ -23,8 +23,8 @@ import numpy as np
 from ..config import Aggregate, GuaranteeKind
 from ..errors import DataError, NotSupportedError, QueryError
 from ..functions.cumulative import CumulativeFunction, build_cumulative_function
-from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
+from ..queries.batch import CertifiedView
+from ..queries.types import Guarantee, QueryResult, RangeQuery
 
 __all__ = ["LinearModel", "TinyMLP", "RecursiveModelIndex"]
 
@@ -155,7 +155,7 @@ class TinyMLP:
         )
 
 
-class RecursiveModelIndex:
+class RecursiveModelIndex(CertifiedView):
     """Multi-stage RMI over a cumulative target function.
 
     Construction follows the classic recipe: stage 1 has a single model over
@@ -172,7 +172,13 @@ class RecursiveModelIndex:
     model_factory:
         Callable returning a fresh model with ``fit``/``predict``;
         defaults to :class:`LinearModel`.
+
+    The batch surface comes from :class:`~repro.queries.batch.CertifiedView`
+    with ``absolute_fallback = True``: like the scalar :meth:`query`, an
+    unmeetable absolute guarantee answers exactly (unlike PolyFit).
     """
+
+    absolute_fallback = True
 
     def __init__(
         self,
@@ -364,33 +370,16 @@ class RecursiveModelIndex:
             prediction = slopes[routed] * clipped + intercepts[routed]
         return prediction
 
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`estimate` over N ranges."""
-        lows, highs = validate_bounds_batch(lows, highs)
+    def _approx(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Vectorized :meth:`estimate` over N ranges, with bound ``2 * max_error``."""
         lower = np.where(lows < self._key_low, 0.0, self.predict_cumulative_batch(lows))
-        return self.predict_cumulative_batch(highs) - lower
+        return self.predict_cumulative_batch(highs) - lower, 2.0 * self.max_error
 
-    def query_batch(
-        self, lows: np.ndarray, highs: np.ndarray, guarantee: Guarantee | None = None
-    ) -> BatchQueryResult:
-        """Batch counterpart of :meth:`query` (vectorized certificates).
-
-        Like the scalar path, an unmeetable absolute guarantee answers
-        exactly (absolute_fallback=True, unlike PolyFit).
-        """
+    def _exact(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """Exact answers through the underlying cumulative function."""
         if self._cumulative is None:
             raise DataError("index not built")
-        lows, highs = validate_bounds_batch(lows, highs)
-        approx = self.estimate_batch(lows, highs)
-        return resolve_batch_certificates(
-            approx,
-            error_bound=2.0 * self.max_error,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self._cumulative.range_sum_batch(
-                lows[mask], highs[mask]
-            ),
-            absolute_fallback=True,
-        )
+        return self._cumulative.range_sum_batch(lows, highs)
 
     def query(self, query: RangeQuery, guarantee: Guarantee | None = None) -> QueryResult:
         """Answer with the same guarantee semantics as PolyFit.

@@ -13,7 +13,7 @@ of per-partition codec files.  See ``docs/ARCHITECTURE.md`` for where the
 fleet sits in the system and ``docs/FORMATS.md`` for the manifest format.
 """
 
-from .fleet import Fleet2D, FleetSnapshot, IndexFleet
+from .fleet import Fleet2D, IndexFleet
 from .map import PartitionMap
 from .partition import EmptyPartitionView, Partition
 from .persistence import (
@@ -35,7 +35,6 @@ __all__ = [
     "FleetRouter",
     "PartitionPlan",
     "IndexFleet",
-    "FleetSnapshot",
     "Fleet2D",
     "MANIFEST_NAME",
     "FLEET_MANIFEST_VERSION",

@@ -11,10 +11,11 @@
   :meth:`merge` rebalance by size.
 
 Reads never pause for writes: :meth:`snapshot` returns a frozen
-:class:`FleetSnapshot` (map + views + router, all immutable), and a
-compaction, split or merge only swaps what the *next* snapshot sees.  The
-facade exposes the same surface as a single updatable index
-(``query_batch`` / ``estimate_batch`` / ``exact_batch``, ``insert`` /
+:class:`~repro.fleet.router.FleetRouter` (map + views, all immutable,
+stamped with the fleet's epoch and version), and a compaction, split or
+merge only swaps what the *next* snapshot sees.  The facade exposes the
+same surface as a single updatable index (the
+:class:`~repro.queries.batch.SnapshotReads` read calls, ``insert`` /
 ``compact``, ``snapshot`` / ``epoch`` / ``version``), so
 :class:`~repro.serve.host.EngineHost` hosts a fleet without knowing it is
 one.
@@ -34,93 +35,18 @@ from ..config import Aggregate, IndexConfig
 from ..errors import DataError, QueryError
 from ..index.guarantees import delta_for_absolute
 from ..index.polyfit2d import PolyFit2DIndex
-from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
+from ..queries.batch import CertifiedView, SnapshotReads, validate_bounds_batch
+from ..queries.types import Guarantee
 from ..config import GuaranteeKind
 from .map import PartitionMap
 from .partition import Partition
 from .policy import FleetPolicy
 from .router import FleetMetrics, FleetRouter
 
-__all__ = ["IndexFleet", "FleetSnapshot", "Fleet2D"]
+__all__ = ["IndexFleet", "Fleet2D"]
 
 
-class FleetSnapshot:
-    """One immutable serving view of a fleet: map + frozen views + router.
-
-    Captures the fleet's epoch/version at creation, so pinned readers keep
-    answering one consistent state while the live fleet mutates.  Exposes
-    the batch query trio with single-index semantics.
-    """
-
-    def __init__(
-        self,
-        router: FleetRouter,
-        *,
-        epoch: int,
-        version: int,
-    ) -> None:
-        self._router = router
-        self._epoch = int(epoch)
-        self._version = int(version)
-
-    @property
-    def epoch(self) -> int:
-        """Fleet epoch this snapshot serves (structural changes + compactions)."""
-        return self._epoch
-
-    @property
-    def version(self) -> int:
-        """Fleet write version this snapshot serves (every mutation bumps it)."""
-        return self._version
-
-    @property
-    def partition_map(self) -> PartitionMap:
-        """Routing state frozen into this snapshot."""
-        return self._router.partition_map
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of partitions served."""
-        return self._router.num_partitions
-
-    @property
-    def aggregate(self) -> Aggregate:
-        """Aggregate the snapshot answers."""
-        return self._router.aggregate
-
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Merged approximate answers for N ranges."""
-        return self._router.estimate_batch(lows, highs)
-
-    def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Merged exact answers for N ranges."""
-        return self._router.exact_batch(lows, highs)
-
-    def error_bounds_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Per-query certified bounds of the merged answers."""
-        return self._router.error_bounds_batch(lows, highs)
-
-    #: Callers may pass ``trace=`` through ``query_batch`` (duck-typed
-    #: capability check used by the serving host).
-    supports_trace = True
-
-    def query_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-        trace=None,
-    ) -> BatchQueryResult:
-        """Answer N queries with certificates over the merged values."""
-        return self._router.query_batch(lows, highs, guarantee, trace=trace)
-
-    def close(self) -> None:
-        """Release the router's sharded pools (idempotent)."""
-        self._router.close()
-
-
-class IndexFleet:
+class IndexFleet(SnapshotReads):
     """Horizontally partitioned updatable index with scatter-gather routing.
 
     Build with :meth:`build` (records plus either explicit ``splits`` or a
@@ -169,7 +95,7 @@ class IndexFleet:
         self._metrics = FleetMetrics()
         # Current snapshot plus one retired generation, so a reader pinned
         # on the previous snapshot can finish while the next one serves.
-        self._snapshots: list[FleetSnapshot] = []
+        self._snapshots: list[FleetRouter] = []
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -391,12 +317,13 @@ class IndexFleet:
     # Read path
     # ------------------------------------------------------------------ #
 
-    def snapshot(self) -> FleetSnapshot:
+    def snapshot(self) -> FleetRouter:
         """Frozen serving view of the current state (cached until a mutation).
 
-        The previous snapshot is retired one generation later (its sharded
-        pools closed), mirroring :class:`~repro.serve.host.EngineHost`'s
-        keep-2 discipline, so an in-flight batch pinned on it can finish.
+        The router is stamped with the fleet's epoch and version.  The
+        previous one is retired one generation later (its sharded pools
+        closed), mirroring :class:`~repro.serve.host.EngineHost`'s keep-2
+        discipline, so an in-flight batch pinned on it can finish.
         """
         if self._snapshots and self._snapshots[-1].version == self._version:
             return self._snapshots[-1]
@@ -407,44 +334,13 @@ class IndexFleet:
             num_shards=self._num_shards,
             failure_policy=self._failure_policy,
             metrics=self._metrics,
+            epoch=self._epoch,
+            version=self._version,
         )
-        snapshot = FleetSnapshot(router, epoch=self._epoch, version=self._version)
-        self._snapshots.append(snapshot)
+        self._snapshots.append(router)
         while len(self._snapshots) > 2:
             self._snapshots.pop(0).close()
-        return snapshot
-
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Merged approximate answers for N ranges."""
-        return self.snapshot().estimate_batch(lows, highs)
-
-    def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Merged exact answers for N ranges."""
-        return self.snapshot().exact_batch(lows, highs)
-
-    def query_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-    ) -> BatchQueryResult:
-        """Answer N queries with certificates over the merged values."""
-        return self.snapshot().query_batch(lows, highs, guarantee)
-
-    def estimate(self, query: RangeQuery) -> float:
-        """Merged approximate answer for one range."""
-        return float(self.estimate_batch([query.low], [query.high])[0])
-
-    def exact(self, query: RangeQuery) -> float:
-        """Merged exact answer for one range."""
-        return float(self.exact_batch([query.low], [query.high])[0])
-
-    def query(
-        self, query: RangeQuery, guarantee: Guarantee | None = None
-    ) -> QueryResult:
-        """Answer one query with single-index guarantee semantics."""
-        batch = self.query_batch([query.low], [query.high], guarantee)
-        return batch.to_results()[0]
+        return router
 
     # ------------------------------------------------------------------ #
     # Write path
@@ -629,7 +525,7 @@ def _quantile_splits(keys: np.ndarray, num_partitions: int) -> np.ndarray:
     return np.unique(distinct[positions])
 
 
-class Fleet2D:
+class Fleet2D(CertifiedView):
     """Static x-partitioned fleet of two-key PolyFit indexes (COUNT/SUM).
 
     Partitions the plane into vertical slabs by the first key: each slab
@@ -638,6 +534,8 @@ class Fleet2D:
     (the y side is never split), and partial answers add — the cumulative
     merge algebra, with per-query bounds summing across straddled slabs.
     """
+
+    dims = 2
 
     def __init__(
         self,
@@ -760,8 +658,6 @@ class Fleet2D:
         y_lows: np.ndarray,
         y_highs: np.ndarray,
     ) -> np.ndarray:
-        x_lows, x_highs = validate_bounds_batch(x_lows, x_highs)
-        y_lows, y_highs = validate_bounds_batch(y_lows, y_highs)
         merged = np.zeros(x_lows.size, dtype=np.float64)
         for pid, indices, clip_lows, clip_highs in self._plan(x_lows, x_highs):
             target = getattr(self._indexes[pid], method)
@@ -770,27 +666,30 @@ class Fleet2D:
             )
         return merged
 
-    def error_bounds_batch(
-        self, x_lows: np.ndarray, x_highs: np.ndarray
-    ) -> np.ndarray:
-        """Per-query certified bounds (sum over straddled non-empty slabs)."""
-        x_lows, x_highs = validate_bounds_batch(x_lows, x_highs)
+    def _bounds(self, x_lows: np.ndarray, x_highs: np.ndarray) -> np.ndarray:
         bounds = np.zeros(x_lows.size, dtype=np.float64)
         for pid, indices, _, _ in self._plan(x_lows, x_highs):
             bounds[indices] += self._indexes[pid].certified_bound
         return bounds
 
-    def estimate_batch(
+    def error_bounds_batch(
+        self, x_lows: np.ndarray, x_highs: np.ndarray
+    ) -> np.ndarray:
+        """Per-query certified bounds (sum over straddled non-empty slabs)."""
+        return self._bounds(*validate_bounds_batch(x_lows, x_highs))
+
+    def _approx(
         self,
         x_lows: np.ndarray,
         x_highs: np.ndarray,
         y_lows: np.ndarray,
         y_highs: np.ndarray,
-    ) -> np.ndarray:
-        """Merged approximate answers for N rectangles."""
-        return self._merged("estimate_batch", x_lows, x_highs, y_lows, y_highs)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Merged approximate answers and their per-query summed bounds."""
+        values = self._merged("estimate_batch", x_lows, x_highs, y_lows, y_highs)
+        return values, self._bounds(x_lows, x_highs)
 
-    def exact_batch(
+    def _exact(
         self,
         x_lows: np.ndarray,
         x_highs: np.ndarray,
@@ -799,26 +698,3 @@ class Fleet2D:
     ) -> np.ndarray:
         """Merged exact answers for N rectangles."""
         return self._merged("exact_batch", x_lows, x_highs, y_lows, y_highs)
-
-    def query_batch(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-    ) -> BatchQueryResult:
-        """Answer N rectangle queries with certificates over merged values."""
-        x_lows, x_highs = validate_bounds_batch(x_lows, x_highs)
-        y_lows, y_highs = validate_bounds_batch(y_lows, y_highs)
-        approx = self._merged("estimate_batch", x_lows, x_highs, y_lows, y_highs)
-        bounds = self.error_bounds_batch(x_lows, x_highs)
-        return resolve_batch_certificates(
-            approx,
-            error_bound=bounds,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self._merged(
-                "exact_batch", x_lows[mask], x_highs[mask], y_lows[mask], y_highs[mask]
-            ),
-            absolute_fallback=False,
-        )

@@ -32,7 +32,10 @@ query-parallel execution under the data-parallel fan-out.
 
 A router is a frozen plan over frozen views: build it from a consistent
 set of partition snapshots and it keeps answering that epoch while the
-live fleet compacts or rebalances.
+live fleet compacts or rebalances.  It is what
+:meth:`~repro.fleet.fleet.IndexFleet.snapshot` returns, carrying the
+fleet's ``epoch`` / ``version`` at creation, and it serves the shared
+:class:`~repro.queries.batch.CertifiedView` read surface.
 
 **Failure policy.**  ``failure_policy="fail_fast"`` (the default) propagates
 a partition's exception out of the batch — nobody gets a partial answer by
@@ -52,6 +55,7 @@ answer — exactly what the durability layer exists to rule out.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +63,12 @@ import numpy as np
 from ..config import Aggregate, GuaranteeKind
 from ..errors import DataError
 from ..obs.metrics import counter_family, histogram_family
-from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
+from ..queries.batch import (
+    CertifiedView,
+    resolve_batch_certificates,
+    split_guarantee,
+    validate_bounds_batch,
+)
 from ..queries.sharding import DEFAULT_MIN_QUERIES_PER_SHARD, ShardedQueryEngine
 from ..queries.types import BatchQueryResult, Guarantee
 from .map import PartitionMap
@@ -114,7 +123,7 @@ class PartitionPlan:
     highs: np.ndarray
 
 
-class FleetRouter:
+class FleetRouter(CertifiedView):
     """Plan, fan out, and merge batch queries over partition views.
 
     Parameters
@@ -138,6 +147,9 @@ class FleetRouter:
         ``"fail_fast"`` propagates partition exceptions; ``"degrade"``
         answers :meth:`query_batch` around failed partitions with widened
         certified bounds (see the module docstring).
+    epoch, version:
+        The owning fleet's epoch and write version when the views were
+        frozen (0 for a router built directly).
     """
 
     def __init__(
@@ -150,6 +162,8 @@ class FleetRouter:
         min_queries_per_shard: int = DEFAULT_MIN_QUERIES_PER_SHARD,
         failure_policy: str = "fail_fast",
         metrics: FleetMetrics | None = None,
+        epoch: int = 0,
+        version: int = 0,
     ) -> None:
         if len(views) != partition_map.num_partitions:
             raise DataError(
@@ -167,6 +181,8 @@ class FleetRouter:
         self._combine = np.fmax if aggregate is Aggregate.MAX else np.fmin
         self._failure_policy = failure_policy
         self._metrics = metrics
+        self._epoch = int(epoch)
+        self._version = int(version)
         self._sharded = num_shards > 1
         self._engines: list = []
         for view in self._views:
@@ -236,6 +252,16 @@ class FleetRouter:
     def num_partitions(self) -> int:
         """Number of partitions fanned out over."""
         return len(self._views)
+
+    @property
+    def epoch(self) -> int:
+        """Fleet epoch this router serves (structural changes + compactions)."""
+        return self._epoch
+
+    @property
+    def version(self) -> int:
+        """Fleet write version this router serves (every mutation bumps it)."""
+        return self._version
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -436,17 +462,17 @@ class FleetRouter:
         return bounds
 
     # ------------------------------------------------------------------ #
-    # Batch interface (mirrors a single index's)
+    # Batch interface (the CertifiedView protocol)
     # ------------------------------------------------------------------ #
 
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Merged approximate answers for N ranges."""
+    def _approx(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Merged approximate answers and their per-query merged bounds."""
         lows, highs, plans = self.plan(lows, highs)
-        return self._merge_values(
-            lows.size, plans, self._scatter("estimate_batch", plans)
-        )
+        n = lows.size
+        values = self._merge_values(n, plans, self._scatter("estimate_batch", plans))
+        return values, self.merged_bounds(n, plans)
 
-    def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    def _exact(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Merged exact answers for N ranges (each partial is exact)."""
         lows, highs, plans = self.plan(lows, highs)
         return self._merge_values(lows.size, plans, self._scatter("exact_batch", plans))
@@ -461,11 +487,7 @@ class FleetRouter:
     supports_trace = True
 
     def query_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-        trace=None,
+        self, *bounds, guarantee: Guarantee | None = None, trace=None
     ) -> BatchQueryResult:
         """Answer N queries with certificates over the merged values.
 
@@ -474,16 +496,22 @@ class FleetRouter:
         the queries whose merged bound fits the budget (no exact fallback —
         the fleet was built with a looser budget than requested); a relative
         guarantee certifies per query and answers the failing subset with
-        the merged exact path.
+        the merged exact path.  Untraced fail-fast batches take the shared
+        :class:`~repro.queries.batch.CertifiedView` path.
 
-        Under ``failure_policy="degrade"`` a failing partition no longer
-        aborts the batch: its contribution is dropped from the merged value
-        and its captured worst-case contribution widens the affected
-        queries' certified bounds, so every certificate the result *does*
-        claim still holds.  Affected queries carry ``degraded=True`` and
-        the result lists the failed partition ids.
+        With ``trace`` the fan-out records one ``partition_exec`` span per
+        touched partition and the certificate a ``merge`` span.  Under
+        ``failure_policy="degrade"`` a failing partition no longer aborts
+        the batch: its contribution is dropped from the merged value and its
+        captured worst-case contribution widens the affected queries'
+        certified bounds, so every certificate the result *does* claim still
+        holds.  Affected queries carry ``degraded=True`` and the result
+        lists the failed partition ids.
         """
-        lows, highs, plans = self.plan(lows, highs)
+        if trace is None and self._failure_policy == "fail_fast":
+            return super().query_batch(*bounds, guarantee=guarantee)
+        bounds, guarantee = split_guarantee(bounds, guarantee)
+        lows, highs, plans = self.plan(*validate_bounds_batch(*bounds, dims=1))
         n = lows.size
         if self._failure_policy == "degrade":
             partials, failed = self._scatter_capture("estimate_batch", plans, trace)
@@ -491,24 +519,14 @@ class FleetRouter:
                 return self._query_batch_degraded(
                     lows, highs, plans, partials, failed, guarantee
                 )
-            approx = self._merge_values(n, plans, partials)
         else:
-            approx = self._merge_values(
-                n, plans, self._scatter("estimate_batch", plans, trace)
-            )
-        bounds = self.merged_bounds(n, plans)
-        if trace is None:
+            partials = self._scatter("estimate_batch", plans, trace)
+        approx = self._merge_values(n, plans, partials)
+        span = trace.span("merge", partitions=len(plans)) if trace is not None else nullcontext()
+        with span:
             return resolve_batch_certificates(
                 approx,
-                error_bound=bounds,
-                guarantee=guarantee,
-                exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
-                absolute_fallback=False,
-            )
-        with trace.span("merge", partitions=len(plans)):
-            return resolve_batch_certificates(
-                approx,
-                error_bound=bounds,
+                error_bound=self.merged_bounds(n, plans),
                 guarantee=guarantee,
                 exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
                 absolute_fallback=False,

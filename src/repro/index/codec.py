@@ -324,7 +324,7 @@ def _quadcell_from_dict(payload: dict) -> QuadCell:
 
 
 def _index2d_to_store(index: PolyFit2DIndex) -> tuple[dict, dict[str, np.ndarray]]:
-    exact = index._exact  # noqa: SLF001 - codec is a friend module
+    exact = index._points  # noqa: SLF001 - codec is a friend module
     directory = index.directory
     meta = {
         "format_version": _BINARY_FORMAT_VERSION,

@@ -1,25 +1,30 @@
-"""Read-only overlay view combining a base index with a frozen delta buffer.
+"""The one overlay: a base index plus a frozen, exactly answered delta buffer.
 
 The streaming write path (:mod:`repro.stream`) buffers inserted records in
 memory between compactions.  Queries must keep their certified error bounds
 while the buffer is non-empty, which works because the buffer's contribution
 is *exact*:
 
-* :class:`DeltaSnapshot` — an immutable, key-sorted view of buffered
-  (key, measure) records for one flush epoch.  SUM/COUNT contributions are a
-  prefix-sum array probed with one ``searchsorted`` per query side; MAX/MIN
-  contributions go through a :class:`~repro.index.directory.RangeExtremeTable`
-  over the sorted measures.  Both are O(1) NumPy calls for N queries.
-* :class:`DirectoryOverlay` — the combined read view: the base index's
-  certified estimate plus the snapshot's exact contribution.  The overlay is
-  immutable, so shard threads handed an overlay all serve the *same* epoch
-  even while the owning updatable index keeps absorbing writes.
+* :class:`DeltaSnapshot` — an immutable, key-sorted view of buffered 1-D
+  (key, measure) records for one flush epoch.  SUM/COUNT contributions are
+  a prefix-sum array probed with one ``searchsorted`` per query side;
+  MAX/MIN contributions go through a
+  :class:`~repro.index.directory.RangeExtremeTable` over the sorted
+  measures.  Both are O(1) NumPy calls for N queries.
+* :class:`DeltaSnapshot2D` — the same for buffered 2-D points: an exact
+  :class:`~repro.functions.cumulative2d.Cumulative2D` over them answers the
+  rectangle contributions.
+* :class:`DirectoryOverlay` — the combined read view for either dimension:
+  the base index's certified estimate plus the snapshot's exact
+  contribution, behind the one ``contribution_batch(*bounds)`` call.  The
+  overlay is immutable, so shard threads handed an overlay all serve the
+  *same* epoch even while the owning updatable index keeps absorbing
+  writes.
 
 Because the delta part is exact, the overlay's absolute error equals the
 base index's (``|combined - truth| = |base_est - base_truth| <= bound`` for
 cumulative aggregates, and the extreme merge is 1-Lipschitz per operand), so
-the Lemma 2/3/4/5 guarantee machinery applies to the combined answer
-unchanged.
+the Lemma 2-7 guarantee machinery applies to the combined answer unchanged.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ import numpy as np
 
 from ..config import Aggregate
 from ..errors import DataError, NotSupportedError
-from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
+from ..functions.cumulative2d import build_cumulative_2d
+from ..queries.batch import CertifiedView
 from .directory import RangeExtremeTable
 from .polyfit1d import PolyFitIndex
+from .polyfit2d import PolyFit2DIndex
 
-__all__ = ["DeltaSnapshot", "DirectoryOverlay"]
+__all__ = ["DeltaSnapshot", "DeltaSnapshot2D", "DirectoryOverlay"]
 
 
 class DeltaSnapshot:
@@ -46,6 +52,8 @@ class DeltaSnapshot:
     per *record*, matching how the cumulative function would absorb them at
     compaction.
     """
+
+    dims = 1
 
     def __init__(self, keys: np.ndarray, measures: np.ndarray, aggregate: Aggregate) -> None:
         keys = np.asarray(keys, dtype=np.float64)
@@ -112,6 +120,51 @@ class DeltaSnapshot:
         return total
 
 
+class DeltaSnapshot2D:
+    """Immutable view of buffered 2-D points for one flush epoch.
+
+    The contribution of the buffered points to a rectangle COUNT/SUM is
+    answered exactly by a :class:`~repro.functions.cumulative2d.Cumulative2D`
+    built once over them (``weights`` are the SUM measures, ``None`` for
+    COUNT).
+    """
+
+    dims = 2
+
+    def __init__(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        weights: np.ndarray | None,
+        aggregate: Aggregate,
+    ) -> None:
+        self.aggregate = aggregate
+        self._points = (
+            build_cumulative_2d(xs, ys, weights=weights) if np.size(xs) else None
+        )
+
+    @property
+    def is_empty(self) -> bool:
+        """Whether the snapshot holds no buffered points."""
+        return self._points is None
+
+    def contribution_batch(
+        self,
+        x_lows: np.ndarray,
+        x_highs: np.ndarray,
+        y_lows: np.ndarray,
+        y_highs: np.ndarray,
+    ) -> np.ndarray:
+        """Exact per-rectangle count (or measure sum) of the buffered points."""
+        if self._points is None:
+            return np.zeros(np.shape(x_lows), dtype=np.float64)
+        return self._points.range_count_batch(x_lows, x_highs, y_lows, y_highs)
+
+    def size_in_bytes(self) -> int:
+        """Footprint of the buffered coordinates and measures."""
+        return 0 if self._points is None else 24 * int(self._points.size)
+
+
 def _combine(base: np.ndarray, delta: np.ndarray, aggregate: Aggregate) -> np.ndarray:
     """Merge the base estimate with the exact delta contribution."""
     if aggregate.is_cumulative:
@@ -123,36 +176,53 @@ def _combine(base: np.ndarray, delta: np.ndarray, aggregate: Aggregate) -> np.nd
     return merge(base, delta)
 
 
-class DirectoryOverlay:
+class DirectoryOverlay(CertifiedView):
     """Frozen combined read view: base index estimate + exact delta part.
 
-    Exposes the same batch interface as the wrapped index
-    (``estimate_batch`` / ``exact_batch`` / ``query_batch`` plus the scalar
-    ``query`` / ``estimate`` / ``exact``), so :class:`~repro.queries.engine.
-    QueryEngine` and :class:`~repro.queries.sharding.ShardedQueryEngine`
-    consume it unchanged.  Instances are snapshots: inserts or compactions
-    on the owning updatable index never mutate an existing overlay.
+    Serves a 1-D :class:`~repro.index.polyfit1d.PolyFitIndex` with a
+    :class:`DeltaSnapshot`, or a 2-D
+    :class:`~repro.index.polyfit2d.PolyFit2DIndex` with a
+    :class:`DeltaSnapshot2D`, through the shared
+    :class:`~repro.queries.batch.CertifiedView` surface, so
+    :class:`~repro.queries.engine.QueryEngine` and
+    :class:`~repro.queries.sharding.ShardedQueryEngine` consume it like the
+    base.  Instances are snapshots: inserts or compactions on the owning
+    updatable index never mutate an existing overlay.
     """
 
-    def __init__(self, base: PolyFitIndex, delta: DeltaSnapshot, epoch: int = 0) -> None:
+    def __init__(
+        self,
+        base: PolyFitIndex | PolyFit2DIndex,
+        delta: DeltaSnapshot | DeltaSnapshot2D,
+        epoch: int = 0,
+    ) -> None:
         if delta.aggregate is not base.aggregate:
             raise NotSupportedError(
                 f"delta snapshot aggregates {delta.aggregate.value}, "
                 f"base index {base.aggregate.value}"
+            )
+        if delta.dims != base.dims:
+            raise NotSupportedError(
+                f"{delta.dims}-D delta snapshot over a {base.dims}-D base index"
             )
         self._base = base
         self._delta = delta
         self._epoch = int(epoch)
 
     @property
-    def base(self) -> PolyFitIndex:
+    def base(self) -> PolyFitIndex | PolyFit2DIndex:
         """The wrapped immutable base index."""
         return self._base
 
     @property
-    def delta(self) -> DeltaSnapshot:
+    def delta(self) -> DeltaSnapshot | DeltaSnapshot2D:
         """The frozen delta snapshot this overlay serves."""
         return self._delta
+
+    @property
+    def dims(self) -> int:
+        """Key dimensions of the base index (1 or 2)."""
+        return self._base.dims
 
     @property
     def epoch(self) -> int:
@@ -174,73 +244,23 @@ class DirectoryOverlay:
         """Certified absolute bound — the base's, since the delta is exact."""
         return self._base.certified_bound
 
-    # ------------------------------------------------------------------ #
-    # Batch interface
-    # ------------------------------------------------------------------ #
+    def _approx(self, *bounds: np.ndarray) -> tuple[np.ndarray, float]:
+        """Base estimate combined with the exact delta contribution.
 
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Combined approximate answers for N ranges."""
-        lows, highs = validate_bounds_batch(lows, highs)
-        base = self._base.estimate_batch(lows, highs)
-        if self._delta.is_empty:
-            return base
-        return _combine(base, self._delta.contribution_batch(lows, highs), self.aggregate)
-
-    def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Combined exact answers for N ranges."""
-        lows, highs = validate_bounds_batch(lows, highs)
-        base = self._base.exact_batch(lows, highs)
-        if self._delta.is_empty:
-            return base
-        return _combine(base, self._delta.contribution_batch(lows, highs), self.aggregate)
-
-    def query_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-    ) -> BatchQueryResult:
-        """Answer N queries with the same guarantee semantics as the base.
-
-        The certified bound is unchanged by the exact delta part, so the
-        Lemma 3/5 relative certificate applies to the combined value; failing
-        queries take the combined exact fallback.
+        The certified bound is the base's: the exact delta part adds no
+        error, so the Lemma 3/5/7 certificate applies to the combined value.
         """
-        lows, highs = validate_bounds_batch(lows, highs)
-        approx = self.estimate_batch(lows, highs)
-        return resolve_batch_certificates(
-            approx,
-            error_bound=self.certified_bound,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
-            absolute_fallback=False,
-        )
+        values, bound = self._base._approx(*bounds)  # noqa: SLF001 - validated once here
+        if self._delta.is_empty:
+            return values, bound
+        return _combine(values, self._delta.contribution_batch(*bounds), self.aggregate), bound
 
-    # ------------------------------------------------------------------ #
-    # Scalar interface (QueryEngine compatibility)
-    # ------------------------------------------------------------------ #
-
-    def _require_aggregate(self, query: RangeQuery) -> None:
-        if query.aggregate is not self.aggregate:
-            raise NotSupportedError(
-                f"overlay answers {self.aggregate.value} queries, "
-                f"got {query.aggregate.value}"
-            )
-
-    def estimate(self, query: RangeQuery) -> float:
-        """Combined approximate answer for one range."""
-        self._require_aggregate(query)
-        return float(self.estimate_batch([query.low], [query.high])[0])
-
-    def exact(self, query: RangeQuery) -> float:
-        """Combined exact answer for one range."""
-        self._require_aggregate(query)
-        return float(self.exact_batch([query.low], [query.high])[0])
-
-    def query(self, query: RangeQuery, guarantee: Guarantee | None = None) -> QueryResult:
-        """Answer one query with guarantee handling (via the batch path)."""
-        self._require_aggregate(query)
-        return self.query_batch([query.low], [query.high], guarantee).to_results()[0]
+    def _exact(self, *bounds: np.ndarray) -> np.ndarray:
+        """Base exact answers combined with the exact delta contribution."""
+        values = self._base._exact(*bounds)  # noqa: SLF001 - validated once here
+        if self._delta.is_empty:
+            return values
+        return _combine(values, self._delta.contribution_batch(*bounds), self.aggregate)
 
     def size_in_bytes(self) -> int:
         """Base payload plus the snapshot arrays."""

@@ -35,24 +35,23 @@ from ..errors import DataError, GuaranteeNotSatisfiedError, NotSupportedError, Q
 from ..fitting.segmentation import Segment, greedy_segmentation
 from ..functions.cumulative import CumulativeFunction, build_cumulative_function
 from ..functions.key_measure import KeyMeasureFunction, build_key_measure_function
-from ..queries.batch import resolve_batch_certificates, validate_bounds_batch
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
+from ..queries.batch import CertifiedView
+from ..queries.types import Guarantee, QueryResult, RangeQuery
 from ..config import GuaranteeKind
 from .directory import SegmentDirectory
 from .guarantees import certified_absolute_bound, certify_relative, delta_for_absolute
 
 __all__ = ["PolyFitIndex"]
 
-# Retained import name for older callers; the flat directory now lives in
-# repro.index.directory as the 1-D specialization of the shared cell core.
-_SegmentDirectory = SegmentDirectory
-
-
-class PolyFitIndex:
+class PolyFitIndex(CertifiedView):
     """Piecewise-polynomial index for one-key range aggregate queries.
 
     Use :meth:`build` (from raw records plus a guarantee/delta) or
     :meth:`from_function` (from an already-constructed target function).
+    The batch read surface (``estimate_batch`` / ``exact_batch`` /
+    ``query_batch``) comes from :class:`~repro.queries.batch.CertifiedView`;
+    the scalar ``query`` / ``estimate`` / ``exact`` below stay the oracle
+    the batch path is tested against.
 
     Parameters are not meant to be mutated after construction; the index is a
     static structure, matching the paper's static setting.
@@ -331,7 +330,7 @@ class PolyFitIndex:
         # Relative guarantee: certify via Lemma 3 / 5, else exact fallback.
         if certify_relative(approx, self._delta, guarantee.epsilon, self._aggregate, num_keys=1):
             return QueryResult(value=approx, guaranteed=True, error_bound=bound)
-        exact = self._exact(query)
+        exact = self.exact(query)
         return QueryResult(value=exact, guaranteed=True, exact_fallback=True, error_bound=0.0)
 
     def query_value(self, low: float, high: float) -> float:
@@ -343,10 +342,10 @@ class PolyFitIndex:
         return self._approximate(query)
 
     # ------------------------------------------------------------------ #
-    # Batch query answering
+    # Batch query answering (the CertifiedView protocol)
     # ------------------------------------------------------------------ #
 
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    def _approx(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, float]:
         """Approximate answers for N ranges ``[lows[i], highs[i]]`` at once.
 
         SUM/COUNT runs entirely on flat arrays: two vectorized
@@ -355,58 +354,20 @@ class PolyFitIndex:
         coefficient rows are evaluated with a single Horner pass
         (:meth:`PolynomialBank.evaluate`) — O(1) NumPy calls for the whole
         workload.  MAX/MIN vectorizes the snapping and segment location and
-        resolves the per-query boundary/interior merge individually (window
-        sizes differ per query).
+        merges the boundary segments with the directory's extreme payload.
+        The certified bound is the construction-time constant.
         """
-        lows, highs = validate_bounds_batch(lows, highs)
-        return self._estimate_batch_validated(lows, highs)
-
-    def _estimate_batch_validated(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Dispatch already-validated bound arrays to the batch evaluators."""
         if self._aggregate.is_cumulative:
-            return self._approximate_cumulative_batch(lows, highs)
-        return self._approximate_extreme_batch(lows, highs)
+            return self._approximate_cumulative_batch(lows, highs), self._certified_bound
+        return self._approximate_extreme_batch(lows, highs), self._certified_bound
 
-    def _key_span(self) -> tuple[float, float]:
-        """Lowest and highest sampled key of the target function."""
-        function = self._cumulative if self._aggregate.is_cumulative else self._key_measure
-        assert function is not None
-        return float(function.keys[0]), float(function.keys[-1])
-
-    def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    def _exact(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Exact answers for N ranges via the fallback structures."""
-        lows, highs = validate_bounds_batch(lows, highs)
         if self._aggregate.is_cumulative:
             assert self._cumulative is not None
             return self._cumulative.range_sum_batch(lows, highs)
         assert self._key_measure is not None
         return self._key_measure.range_extreme_batch(lows, highs)
-
-    def query_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-    ) -> BatchQueryResult:
-        """Answer N queries with the same semantics as :meth:`query`.
-
-        The guarantee logic is fully vectorized: the certified bound is a
-        construction-time constant, the Lemma 3/5 relative certificate is one
-        array comparison, and only the failing subset takes the masked
-        exact-fallback pass.  Queries inherit the index's aggregate.
-        """
-        lows, highs = validate_bounds_batch(lows, highs)
-        approx = self._estimate_batch_validated(lows, highs)
-        # PolyFit semantics for an unmet absolute guarantee: answer with the
-        # approximation flagged un-guaranteed (the index was built with a
-        # looser budget), never the exact method (absolute_fallback=False).
-        return resolve_batch_certificates(
-            approx,
-            error_bound=self._certified_bound,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self.exact_batch(lows[mask], highs[mask]),
-            absolute_fallback=False,
-        )
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -562,18 +523,15 @@ class PolyFitIndex:
             )
         return self._directory.extremes
 
-    def _exact(self, query: RangeQuery) -> float:
+    def exact(self, query: RangeQuery) -> float:
+        """Exact answer via the fallback structures (used by tests/benches)."""
+        if query.aggregate is not self._aggregate:
+            raise NotSupportedError("aggregate mismatch")
         if self._aggregate.is_cumulative:
             assert self._cumulative is not None
             return self._cumulative.range_sum(query.low, query.high)
         assert self._key_measure is not None
         return self._key_measure.range_extreme(query.low, query.high)
-
-    def exact(self, query: RangeQuery) -> float:
-        """Exact answer via the fallback structures (used by tests/benches)."""
-        if query.aggregate is not self._aggregate:
-            raise NotSupportedError("aggregate mismatch")
-        return self._exact(query)
 
     def require_guarantee(self, query: RangeQuery, guarantee: Guarantee) -> float:
         """Answer and raise if the guarantee cannot be certified (no fallback)."""

@@ -23,16 +23,24 @@ from ..config import Aggregate, GuaranteeKind, QuadTreeConfig
 from ..errors import GuaranteeNotSatisfiedError, NotSupportedError, QueryError
 from ..fitting.quadtree import QuadCell, build_quadtree_surface
 from ..functions.cumulative2d import Cumulative2D, build_cumulative_2d
-from ..queries.batch import DEFAULT_TILE_SIZE, iter_tiles, resolve_batch_certificates
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery2D
+from ..queries.batch import DEFAULT_TILE_SIZE, CertifiedView, iter_tiles
+from ..queries.types import Guarantee, QueryResult, RangeQuery2D
 from .directory import QuadDirectory
 from .guarantees import certified_absolute_bound, certify_relative, delta_for_absolute
 
 __all__ = ["PolyFit2DIndex"]
 
 
-class PolyFit2DIndex:
-    """Quadtree-of-surfaces index for two-key range COUNT/SUM queries."""
+class PolyFit2DIndex(CertifiedView):
+    """Quadtree-of-surfaces index for two-key range COUNT/SUM queries.
+
+    The batch read surface comes from
+    :class:`~repro.queries.batch.CertifiedView` over rectangle bounds
+    ``(x_lows, x_highs, y_lows, y_highs)``; the scalar ``query`` /
+    ``estimate`` / ``exact`` descend the pointer tree and stay the oracle.
+    """
+
+    dims = 2
 
     def __init__(
         self,
@@ -48,7 +56,7 @@ class PolyFit2DIndex:
         tile_size: int = DEFAULT_TILE_SIZE,
     ) -> None:
         self._root = root
-        self._exact = exact
+        self._points = exact
         self._delta = float(delta)
         self._aggregate = aggregate
         self._config = config
@@ -220,7 +228,7 @@ class PolyFit2DIndex:
 
     def exact(self, query: RangeQuery2D) -> float:
         """Exact rectangle count from the underlying cumulative structure."""
-        return self._exact.range_count(query.x_low, query.x_high, query.y_low, query.y_high)
+        return self._points.range_count(query.x_low, query.x_high, query.y_low, query.y_high)
 
     def _corner_batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Approximate ``CF`` at N corner points — pure NumPy, no descent loop.
@@ -240,32 +248,19 @@ class PolyFit2DIndex:
         values = self._directory.evaluate_batch(rows, cu, cv)
         return np.where(zero, 0.0, values)
 
-    def estimate_batch(
+    def _approx(
         self,
         x_lows: np.ndarray,
         x_highs: np.ndarray,
         y_lows: np.ndarray,
         y_highs: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, float]:
         """Approximate N rectangle aggregates by batched 4-corner evaluation.
 
         Large workloads are processed in tiles of ``tile_size`` queries so
         the transient corner/gather arrays stay bounded regardless of N; the
         tile loop runs once per tile, never per query.
         """
-        x_lows, x_highs, y_lows, y_highs = self._validate_rectangles(
-            x_lows, x_highs, y_lows, y_highs
-        )
-        return self._estimate_batch_validated(x_lows, x_highs, y_lows, y_highs)
-
-    def _estimate_batch_validated(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-    ) -> np.ndarray:
-        """The tiled corner path over already-validated bound arrays."""
         n = x_lows.size
         out = np.empty(n, dtype=np.float64)
         for start, stop in iter_tiles(n, self._tile_size):
@@ -282,9 +277,9 @@ class PolyFit2DIndex:
             out[start:stop] = (
                 corners[:m] - corners[m: 2 * m] - corners[2 * m: 3 * m] + corners[3 * m:]
             )
-        return out
+        return out, self._certified_bound
 
-    def exact_batch(
+    def _exact(
         self,
         x_lows: np.ndarray,
         x_highs: np.ndarray,
@@ -299,57 +294,7 @@ class PolyFit2DIndex:
         per-query window scan, so the relative-guarantee fallback no longer
         serializes on Python-level loops.
         """
-        x_lows, x_highs, y_lows, y_highs = self._validate_rectangles(
-            x_lows, x_highs, y_lows, y_highs
-        )
-        return self._exact.range_count_batch(x_lows, x_highs, y_lows, y_highs)
-
-    def query_batch(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-    ) -> BatchQueryResult:
-        """Answer N rectangle queries with the semantics of :meth:`query`.
-
-        Certificates are vectorized; only queries failing the Lemma 7
-        relative certificate take the masked exact-fallback pass.
-        """
-        x_lows, x_highs, y_lows, y_highs = self._validate_rectangles(
-            x_lows, x_highs, y_lows, y_highs
-        )
-        approx = self._estimate_batch_validated(x_lows, x_highs, y_lows, y_highs)
-        # Same absolute-guarantee semantics as the scalar path: answer with
-        # the approximation flagged un-guaranteed when the build budget is too
-        # loose (absolute_fallback=False).
-        return resolve_batch_certificates(
-            approx,
-            error_bound=self._certified_bound,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self.exact_batch(
-                x_lows[mask], x_highs[mask], y_lows[mask], y_highs[mask]
-            ),
-            absolute_fallback=False,
-        )
-
-    @staticmethod
-    def _validate_rectangles(
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        arrays = tuple(
-            np.atleast_1d(np.asarray(a, dtype=np.float64))
-            for a in (x_lows, x_highs, y_lows, y_highs)
-        )
-        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
-            raise QueryError("rectangle bound arrays must be equal-length 1-D arrays")
-        if np.any(arrays[1] < arrays[0]) or np.any(arrays[3] < arrays[2]):
-            raise QueryError("invalid rectangle bounds")
-        return arrays
+        return self._points.range_count_batch(x_lows, x_highs, y_lows, y_highs)
 
     def query(self, query: RangeQuery2D, guarantee: Guarantee | None = None) -> QueryResult:
         """Answer an approximate rectangle query with guarantee handling.

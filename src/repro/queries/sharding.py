@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..obs.metrics import histogram_family
-from .batch import validate_bounds_batch
+from .batch import split_guarantee, validate_bounds_batch
 from .types import BatchQueryResult, Guarantee
 
 __all__ = [
@@ -184,13 +184,9 @@ class ShardedQueryEngine:
         """Sharded counterpart of the index's ``query_batch``.
 
         Accepts the guarantee either as a keyword or as a trailing
-        positional (the calling convention :class:`QueryEngine` uses).
+        positional, like every view's ``query_batch``.
         """
-        if bounds and isinstance(bounds[-1], Guarantee):
-            if guarantee is not None:
-                raise QueryError("guarantee passed both positionally and by keyword")
-            guarantee = bounds[-1]
-            bounds = bounds[:-1]
+        bounds, guarantee = split_guarantee(bounds, guarantee)
         return self._run("query_batch", bounds, guarantee, trace=trace)
 
     # ------------------------------------------------------------------ #
@@ -206,18 +202,7 @@ class ShardedQueryEngine:
     ):
         if method not in _BATCH_METHODS:
             raise QueryError(f"unknown batch method {method!r}")
-        # Both bound conventions — (lows, highs) and (x_lows, x_highs,
-        # y_lows, y_highs) — are sequences of (low, high) pairs, so the
-        # canonical pairwise validation applies to each.
-        if not bounds or len(bounds) % 2:
-            raise QueryError("bounds must be (low, high) array pairs")
-        bounds = tuple(
-            validated
-            for pair in range(0, len(bounds), 2)
-            for validated in validate_bounds_batch(bounds[pair], bounds[pair + 1])
-        )
-        if any(bound.shape != bounds[0].shape for bound in bounds):
-            raise QueryError("bound arrays must be equal-length 1-D arrays")
+        bounds = validate_bounds_batch(*bounds)
         total = bounds[0].size
         slices = shard_slices(total, self._num_shards)
         hist = self._metrics.exec_seconds if self._metrics is not None else None

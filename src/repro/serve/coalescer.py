@@ -300,9 +300,9 @@ class Coalescer:
         """Enqueue one scalar request; the future resolves at its flush.
 
         ``bounds`` is ``(low, high)`` for 1-D hosts and ``(x_low, x_high,
-        y_low, y_high)`` for 2-D hosts.  Malformed bounds are rejected here,
-        per request — never inside a flush, where one bad request would fail
-        its whole batch.
+        y_low, y_high)`` for 2-D hosts.  Malformed bounds, a NaN included,
+        are rejected here, per request — never inside a flush, where one bad
+        request would fail its whole batch.
         """
         if self._closed:
             self._obs.rejected.inc()
@@ -316,7 +316,7 @@ class Coalescer:
                 f"index {index!r} expects {2 * host.dims} bounds, got {len(bounds)}"
             )
         for low, high in zip(bounds[::2], bounds[1::2]):
-            if high < low:
+            if not low <= high:  # also false for a NaN bound
                 raise QueryError(f"invalid query range [{low}, {high}]")
         if self._pending >= self._max_pending:
             self._obs.rejected.inc()

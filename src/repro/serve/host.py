@@ -26,7 +26,6 @@ touches the frozen view and the (internally locked) result cache.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any
 
@@ -108,7 +107,8 @@ class EngineHost:
     ----------
     index:
         Any index exposing ``query_batch`` (static or updatable, 1-D or
-        2-D).  Updatable indexes (anything with a callable ``snapshot``)
+        2-D); its ``dims`` attribute (1 when absent) fixes the bounds
+        arity.  Updatable indexes (anything with a callable ``snapshot``)
         additionally get the epoch-pinned read path and the write
         endpoints.
     name:
@@ -150,7 +150,7 @@ class EngineHost:
         self.name = name
         self._num_shards = int(num_shards)
         self._updatable = callable(getattr(index, "snapshot", None))
-        self._dims = _query_dims(index)
+        self._dims = int(getattr(index, "dims", 1))
         self._cache = (
             ResultCache(cache_size, instrument=instrument) if cache_size > 0 else None
         )
@@ -309,7 +309,7 @@ class EngineHost:
 
         When ``trace`` is given it records a ``cache_probe`` span here and
         is forwarded into engines that advertise ``supports_trace``
-        (sharded wrappers, fleet snapshots) for fan-out detail; other
+        (sharded wrappers, fleet routers) for fan-out detail; other
         engines get a single ``engine_exec`` span.  Tracing never changes
         the computation, only observes its timeline.
         """
@@ -406,18 +406,3 @@ class EngineHost:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _query_dims(index: object) -> int:
-    """Key dimensionality from the ``query_batch`` signature (2 or 4 bounds)."""
-    try:
-        parameters = inspect.signature(index.query_batch).parameters  # type: ignore[attr-defined]
-    except (TypeError, ValueError):
-        return 1
-    positional = [
-        p
-        for p in parameters.values()
-        if p.name != "guarantee"
-        and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return 2 if len(positional) >= 4 else 1

@@ -46,7 +46,8 @@ from ..fitting.incremental import CorridorScanner, fit_incremental_polynomial
 from ..fitting.segmentation import Segment, greedy_segmentation
 from ..index.overlay import DirectoryOverlay
 from ..index.polyfit1d import PolyFitIndex
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery
+from ..queries.batch import SnapshotReads
+from ..queries.types import Guarantee, RangeQuery
 from ..obs.metrics import SIZE_BUCKETS, counter_family, histogram_family
 from .buffer import DeltaBuffer
 from .policy import CompactionPolicy
@@ -163,12 +164,13 @@ def _replay_wal(index, wal: WriteAheadLog, *, two_dimensional: bool) -> int:
     return applied
 
 
-class UpdatablePolyFitIndex:
+class UpdatablePolyFitIndex(SnapshotReads):
     """PolyFit index with an insert path: delta buffer, epochs, compaction.
 
     Use :meth:`build` (records + guarantee/delta, like the static index) or
     :meth:`wrap` (adopt an already-built static index).  Reads go through
-    :meth:`snapshot` — a frozen overlay per flush epoch — so concurrent
+    :meth:`snapshot` — a frozen overlay per flush epoch, resolved once per
+    call by :class:`~repro.queries.batch.SnapshotReads` — so concurrent
     shard workers always serve one consistent epoch.
     """
 
@@ -530,35 +532,6 @@ class UpdatablePolyFitIndex:
                 self._base, self._buffer.snapshot(), epoch=self._epoch
             )
         return self._overlay
-
-    def estimate(self, query: RangeQuery) -> float:
-        """Combined approximate answer for one range."""
-        return self.snapshot().estimate(query)
-
-    def exact(self, query: RangeQuery) -> float:
-        """Combined exact answer (base fallback + exact buffer part)."""
-        return self.snapshot().exact(query)
-
-    def query(self, query: RangeQuery, guarantee: Guarantee | None = None) -> QueryResult:
-        """Answer one query with the static index's guarantee semantics."""
-        return self.snapshot().query(query, guarantee)
-
-    def estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Combined approximate answers for N ranges."""
-        return self.snapshot().estimate_batch(lows, highs)
-
-    def exact_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Combined exact answers for N ranges."""
-        return self.snapshot().exact_batch(lows, highs)
-
-    def query_batch(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        guarantee: Guarantee | None = None,
-    ) -> BatchQueryResult:
-        """Answer N queries with certificates over the combined values."""
-        return self.snapshot().query_batch(lows, highs, guarantee)
 
     # ------------------------------------------------------------------ #
     # Merge + re-segmentation internals

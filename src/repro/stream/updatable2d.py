@@ -1,13 +1,15 @@
 """The two-key updatable PolyFit index (minimal delta-buffer variant).
 
 :class:`UpdatablePolyFit2DIndex` pairs a base
-:class:`~repro.index.polyfit2d.PolyFit2DIndex` with a point buffer whose
-query contribution is served *exactly* by a per-epoch
-:class:`~repro.functions.cumulative2d.Cumulative2D` over the buffered
-points — so, as in 1-D, the certified ``4 * delta`` bound (Lemma 6) holds
-with a non-empty buffer.  Compaction is a full rebuild over the merged point
-set (bounded by the policy threshold); incremental quadtree compaction — the
-2-D analogue of the tail re-segmentation — is a ROADMAP follow-up.
+:class:`~repro.index.polyfit2d.PolyFit2DIndex` with a point buffer and
+serves reads through the same :class:`~repro.index.overlay.DirectoryOverlay`
+as the 1-D index: a per-epoch
+:class:`~repro.index.overlay.DeltaSnapshot2D` answers the buffered points'
+contribution *exactly*, so, as in 1-D, the certified ``4 * delta`` bound
+(Lemma 6) holds with a non-empty buffer.  Compaction is a full rebuild over
+the merged point set (bounded by the policy threshold); incremental quadtree
+compaction — the 2-D analogue of the tail re-segmentation — is a ROADMAP
+follow-up.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 
 from ..config import Aggregate, QuadTreeConfig
 from ..errors import DataError, SerializationError
-from ..functions.cumulative2d import Cumulative2D, build_cumulative_2d
+from ..index.overlay import DeltaSnapshot2D, DirectoryOverlay
 from ..index.polyfit2d import PolyFit2DIndex
-from ..queries.batch import resolve_batch_certificates
-from ..queries.types import BatchQueryResult, Guarantee, QueryResult, RangeQuery2D
+from ..queries.batch import SnapshotReads
+from ..queries.types import Guarantee
 from .policy import CompactionPolicy
 from .updatable import IngestMetrics, _open_fresh_wal, _replay_wal
 from .wal import WriteAheadLog
@@ -30,94 +32,14 @@ from .wal import WriteAheadLog
 __all__ = ["UpdatablePolyFit2DIndex"]
 
 
-class _Overlay2D:
-    """Frozen per-epoch read view: base estimate + exact buffered part."""
+class UpdatablePolyFit2DIndex(SnapshotReads):
+    """PolyFit2D with an insert path: point buffer, epochs, rebuild compaction.
 
-    def __init__(
-        self, base: PolyFit2DIndex, delta_exact: Cumulative2D | None, epoch: int
-    ) -> None:
-        self._base = base
-        self._delta_exact = delta_exact
-        self._epoch = int(epoch)
+    Reads go through :class:`~repro.queries.batch.SnapshotReads`: every
+    call answers from one frozen :meth:`snapshot` overlay.
+    """
 
-    @property
-    def aggregate(self) -> Aggregate:
-        """Aggregate the overlay answers."""
-        return self._base.aggregate
-
-    @property
-    def certified_bound(self) -> float:
-        """Certified absolute bound — the base's; the delta part is exact."""
-        return self._base.certified_bound
-
-    @property
-    def epoch(self) -> int:
-        """Flush epoch this overlay was frozen at."""
-        return self._epoch
-
-    @property
-    def version(self) -> int:
-        """Cache-key version: the frozen epoch (the view never mutates)."""
-        return self._epoch
-
-    def _contribution(self, x_lows, x_highs, y_lows, y_highs) -> np.ndarray | float:
-        if self._delta_exact is None:
-            return 0.0
-        return self._delta_exact.range_count_batch(x_lows, x_highs, y_lows, y_highs)
-
-    def estimate_batch(self, x_lows, x_highs, y_lows, y_highs) -> np.ndarray:
-        """Combined approximate answers for N rectangles."""
-        base = self._base.estimate_batch(x_lows, x_highs, y_lows, y_highs)
-        return base + self._contribution(x_lows, x_highs, y_lows, y_highs)
-
-    def exact_batch(self, x_lows, x_highs, y_lows, y_highs) -> np.ndarray:
-        """Combined exact answers for N rectangles."""
-        base = self._base.exact_batch(x_lows, x_highs, y_lows, y_highs)
-        return base + self._contribution(x_lows, x_highs, y_lows, y_highs)
-
-    def query_batch(
-        self, x_lows, x_highs, y_lows, y_highs, guarantee: Guarantee | None = None
-    ) -> BatchQueryResult:
-        """Answer N rectangle queries with the base's guarantee semantics."""
-        approx = self.estimate_batch(x_lows, x_highs, y_lows, y_highs)
-        return resolve_batch_certificates(
-            approx,
-            error_bound=self.certified_bound,
-            guarantee=guarantee,
-            exact_for_mask=lambda mask: self.exact_batch(
-                np.asarray(x_lows, dtype=np.float64)[mask],
-                np.asarray(x_highs, dtype=np.float64)[mask],
-                np.asarray(y_lows, dtype=np.float64)[mask],
-                np.asarray(y_highs, dtype=np.float64)[mask],
-            ),
-            absolute_fallback=False,
-        )
-
-    def estimate(self, query: RangeQuery2D) -> float:
-        """Combined approximate answer for one rectangle."""
-        return float(
-            self.estimate_batch(
-                [query.x_low], [query.x_high], [query.y_low], [query.y_high]
-            )[0]
-        )
-
-    def exact(self, query: RangeQuery2D) -> float:
-        """Combined exact answer for one rectangle."""
-        return float(
-            self.exact_batch(
-                [query.x_low], [query.x_high], [query.y_low], [query.y_high]
-            )[0]
-        )
-
-    def query(self, query: RangeQuery2D, guarantee: Guarantee | None = None) -> QueryResult:
-        """Answer one rectangle query (via the batch path)."""
-        return self.query_batch(
-            [query.x_low], [query.x_high], [query.y_low], [query.y_high], guarantee
-        ).to_results()[0]
-
-
-class UpdatablePolyFit2DIndex:
-    """PolyFit2D with an insert path: point buffer, epochs, rebuild compaction."""
+    dims = 2
 
     def __init__(
         self,
@@ -136,7 +58,7 @@ class UpdatablePolyFit2DIndex:
         self._size = 0
         self._epoch = 0
         self._version = 0
-        self._overlay: _Overlay2D | None = None
+        self._overlay: DirectoryOverlay | None = None
         # Durability (mirrors the 1-D index): log first, apply second.
         self._wal: WriteAheadLog | None = None
         self._replaying = False
@@ -387,7 +309,7 @@ class UpdatablePolyFit2DIndex:
         return True
 
     def _base_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        exact = self._base._exact  # noqa: SLF001 - stream is a friend module
+        exact = self._base._points  # noqa: SLF001 - stream is a friend module
         return exact.xs, exact.ys, exact.weights
 
     def _buffer_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,48 +386,15 @@ class UpdatablePolyFit2DIndex:
     # Read path
     # ------------------------------------------------------------------ #
 
-    def snapshot(self) -> _Overlay2D:
+    def snapshot(self) -> DirectoryOverlay:
         """Frozen overlay of the current epoch (cached until a mutation)."""
         if self._overlay is None:
-            delta_exact = None
-            if self._size:
-                delta_exact = build_cumulative_2d(
-                    np.concatenate(self._x_chunks),
-                    np.concatenate(self._y_chunks),
-                    weights=(
-                        np.concatenate(self._w_chunks)
-                        if self.aggregate is Aggregate.SUM
-                        else None
-                    ),
-                )
-            self._overlay = _Overlay2D(self._base, delta_exact, self._epoch)
+            xs, ys, ws = self._buffer_arrays()
+            delta = DeltaSnapshot2D(
+                xs, ys, ws if self.aggregate is Aggregate.SUM else None, self.aggregate
+            )
+            self._overlay = DirectoryOverlay(self._base, delta, epoch=self._epoch)
         return self._overlay
-
-    def estimate(self, query: RangeQuery2D) -> float:
-        """Combined approximate answer for one rectangle."""
-        return self.snapshot().estimate(query)
-
-    def exact(self, query: RangeQuery2D) -> float:
-        """Combined exact answer for one rectangle."""
-        return self.snapshot().exact(query)
-
-    def query(self, query: RangeQuery2D, guarantee: Guarantee | None = None) -> QueryResult:
-        """Answer one rectangle query with guarantee handling."""
-        return self.snapshot().query(query, guarantee)
-
-    def estimate_batch(self, x_lows, x_highs, y_lows, y_highs) -> np.ndarray:
-        """Combined approximate answers for N rectangles."""
-        return self.snapshot().estimate_batch(x_lows, x_highs, y_lows, y_highs)
-
-    def exact_batch(self, x_lows, x_highs, y_lows, y_highs) -> np.ndarray:
-        """Combined exact answers for N rectangles."""
-        return self.snapshot().exact_batch(x_lows, x_highs, y_lows, y_highs)
-
-    def query_batch(
-        self, x_lows, x_highs, y_lows, y_highs, guarantee: Guarantee | None = None
-    ) -> BatchQueryResult:
-        """Answer N rectangle queries with certificates over combined values."""
-        return self.snapshot().query_batch(x_lows, x_highs, y_lows, y_highs, guarantee)
 
     def size_in_bytes(self) -> int:
         """Base directory payload plus the buffered point arrays."""

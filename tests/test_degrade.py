@@ -45,9 +45,8 @@ def _fleet_and_oracle(aggregate, keys, measures, *, failure_policy="degrade"):
     return fleet, oracle
 
 
-def _fail_partition(snapshot, pid):
+def _fail_partition(router, pid):
     """Replace one healthy view with a failing one, post reserve-capture."""
-    router = getattr(snapshot, "_router", snapshot)
     flaky = FlakyView(router._views[pid])
     router._views[pid] = flaky
     router._engines[pid] = flaky

@@ -284,6 +284,42 @@ class TestEdgeCases:
             np.array([10.0]), np.array([700.0])
         ).values[0]
 
+    def test_nan_bound_is_rejected_per_request(self, index):
+        """A NaN bound fails its own submit, never the slice it would join.
+
+        The first request holds the engine, so everything submitted while
+        it runs would flush as one slice; the valid request in that slice
+        is answered bit-identically to a direct batch.
+        """
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingIndex:
+            def query_batch(self, lows, highs, guarantee=None):
+                entered.set()
+                assert release.wait(timeout=10.0), "engine never released"
+                return index.query_batch(lows, highs, guarantee)
+
+        async def run():
+            coalescer = Coalescer(EngineHost(BlockingIndex()))
+            loop = asyncio.get_running_loop()
+            first = coalescer.submit((10.0, 700.0))
+            assert await loop.run_in_executor(None, entered.wait, 10.0)
+            with pytest.raises(QueryError):
+                coalescer.submit((float("nan"), 500.0))
+            with pytest.raises(QueryError):
+                coalescer.submit((100.0, float("nan")))
+            mate = coalescer.submit((100.0, 500.0))
+            release.set()
+            answers = await asyncio.gather(first, mate)
+            await coalescer.stop()
+            return answers
+
+        first, mate = asyncio.run(run())
+        direct = index.query_batch(np.array([100.0]), np.array([500.0]))
+        assert mate.value == direct.values[0]
+        assert mate.error_bound == direct.error_bounds[0]
+        assert mate.batch_size == 1
+
     def test_shutdown_drains_in_flight_futures(self, index):
         lows, highs = make_bounds(200, seed=5)
 

@@ -305,6 +305,22 @@ class TestErrorMapping:
         assert all(with_server(lambda: EngineHost(index), scenario))
 
 
+    def test_nan_bounds_are_400(self, index):
+        def scenario(url):
+            codes = []
+            for payload in ({"low": "nan", "high": 5.0}, {"low": 1.0, "high": "nan"}):
+                with pytest.raises(QueryError) as error:
+                    request_json(url, "/query", payload)
+                codes.append("400" in str(error.value))
+            with pytest.raises(QueryError) as error:
+                request_json(url, "/query_batch",
+                             {"lows": [1.0, float("nan")], "highs": [2.0, 3.0]})
+            codes.append("400" in str(error.value) and "NaN" in str(error.value))
+            return codes
+
+        assert all(with_server(lambda: EngineHost(index), scenario))
+
+
 class TestCLI:
     def test_serve_args_parse(self):
         args = build_parser().parse_args(

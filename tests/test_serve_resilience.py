@@ -175,8 +175,7 @@ def _degraded_fleet():
         keys, None, Aggregate.COUNT,
         delta=25.0, config=FAST, num_partitions=4, failure_policy="degrade",
     )
-    snapshot = fleet.snapshot()  # cached: the host pins this same object
-    router = snapshot._router
+    router = fleet.snapshot()  # cached: the host pins this same object
     flaky = FlakyView(router._views[1])
     router._views[1] = flaky
     router._engines[1] = flaky
