@@ -267,10 +267,8 @@ class FleetRouter(CertifiedView):
     # Planning
     # ------------------------------------------------------------------ #
 
-    def plan(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, list[PartitionPlan]]:
-        """Clip a query batch into per-partition sub-batches.
+    def plan(self, *bounds) -> tuple[np.ndarray, np.ndarray, list[PartitionPlan]]:
+        """Clip a ``(lows, highs)`` query batch into per-partition sub-batches.
 
         Returns the validated bound arrays plus one
         :class:`PartitionPlan` per partition that at least one query
@@ -279,7 +277,12 @@ class FleetRouter(CertifiedView):
         the clip's inclusive upper bound is the largest float below the
         split key).
         """
-        lows, highs = validate_bounds_batch(lows, highs)
+        return self._plan(*validate_bounds_batch(*bounds, dims=1))
+
+    def _plan(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, list[PartitionPlan]]:
+        """:meth:`plan` over bounds that are already validated."""
         first = self._map.locate(lows)
         last = self._map.locate(highs)
         plans: list[PartitionPlan] = []
@@ -416,7 +419,7 @@ class FleetRouter(CertifiedView):
         contribute only widening.  Returns values, per-query bounds,
         the degraded mask, and the failed pid set.
         """
-        lows, highs, plans = self.plan(lows, highs)
+        lows, highs, plans = self._plan(lows, highs)
         n = lows.size
         partials, failed = self._scatter_capture("exact_batch", plans)
         alive = [
@@ -467,14 +470,14 @@ class FleetRouter(CertifiedView):
 
     def _approx(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Merged approximate answers and their per-query merged bounds."""
-        lows, highs, plans = self.plan(lows, highs)
+        lows, highs, plans = self._plan(lows, highs)
         n = lows.size
         values = self._merge_values(n, plans, self._scatter("estimate_batch", plans))
         return values, self.merged_bounds(n, plans)
 
     def _exact(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Merged exact answers for N ranges (each partial is exact)."""
-        lows, highs, plans = self.plan(lows, highs)
+        lows, highs, plans = self._plan(lows, highs)
         return self._merge_values(lows.size, plans, self._scatter("exact_batch", plans))
 
     def error_bounds_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -496,8 +499,7 @@ class FleetRouter(CertifiedView):
         the queries whose merged bound fits the budget (no exact fallback —
         the fleet was built with a looser budget than requested); a relative
         guarantee certifies per query and answers the failing subset with
-        the merged exact path.  Untraced fail-fast batches take the shared
-        :class:`~repro.queries.batch.CertifiedView` path.
+        the merged exact path.
 
         With ``trace`` the fan-out records one ``partition_exec`` span per
         touched partition and the certificate a ``merge`` span.  Under
@@ -508,10 +510,8 @@ class FleetRouter(CertifiedView):
         holds.  Affected queries carry ``degraded=True`` and the result
         lists the failed partition ids.
         """
-        if trace is None and self._failure_policy == "fail_fast":
-            return super().query_batch(*bounds, guarantee=guarantee)
         bounds, guarantee = split_guarantee(bounds, guarantee)
-        lows, highs, plans = self.plan(*validate_bounds_batch(*bounds, dims=1))
+        lows, highs, plans = self.plan(*bounds)
         n = lows.size
         if self._failure_policy == "degrade":
             partials, failed = self._scatter_capture("estimate_batch", plans, trace)
