@@ -3,16 +3,21 @@
 #   make tier1        - full test suite (the CI gate)
 #   make lint         - ruff check with the repo config (skips gracefully
 #                       when ruff is not installed; CI always installs it)
-#   make smoke-batch  - fast perf gate: batch/scalar equivalence (1-D and
-#                       2-D, including the flat cell-directory property
-#                       tests), the certified-view protocol conformance
-#                       table, sharding/codec round-trips, the durability
-#                       fault tests (WAL crash-point sweep, degraded fleet
-#                       reads, fsck, serve resilience) and the scaled-down
-#                       systems benches (their artifacts land in the
-#                       git-ignored benchmarks/out/, never over the
-#                       committed BENCH_*.json); run before merging
-#                       changes that touch the query hot path
+#   make smoke-batch  - fast correctness gate for the hot path: batch/scalar
+#                       equivalence (1-D and 2-D, including the flat
+#                       cell-directory property tests), the certified-view
+#                       protocol conformance table, sharding/codec
+#                       round-trips, streaming, serving, fleet and
+#                       observability tests, and the durability fault tests
+#                       (WAL crash-point sweep, degraded fleet reads, fsck,
+#                       serve resilience); run before merging changes that
+#                       touch the query hot path
+#
+# The bench-* targets are standalone systems benchmarks with timing gates.
+# Each writes its BENCH_*.json under the git-ignored benchmarks/out/ and
+# exits non-zero when a gate fails; their correctness checks also live in
+# tests/. End-to-end performance is measured by perfbench/ (BENCHMARK.json).
+#
 #   make bench-batch  - full scalar-vs-batch throughput sweep (1-D methods
 #                       and the 2-D linearized-directory section), writes
 #                       BENCH_batch_throughput.json
@@ -38,11 +43,6 @@
 #   make bench-durability - full durability protocol (WAL'd vs plain insert
 #                       throughput, recovery time vs log length, degraded
 #                       fleet-read overhead), writes BENCH_durability.json
-#   make bench-obs    - full observability-overhead protocol (instrumented
-#                       vs uninstrumented serve p50 and batch throughput,
-#                       trace-sampling cost at 0%/1%/100%, exposition
-#                       validity, bit-identity), writes
-#                       BENCH_observability.json
 #   make fsck-smoke   - the `repro fsck` CLI against a freshly corrupted
 #                       fixture: clean artifacts must exit 0, a bit-flipped
 #                       codec file must exit 1 with a typed report
@@ -65,7 +65,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke perfbench-selftest bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability bench-obs
+.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke perfbench-selftest bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -86,11 +86,7 @@ smoke-batch:
 		tests/test_fleet.py \
 		tests/test_wal.py tests/test_degrade.py tests/test_fsck.py \
 		tests/test_serve_resilience.py \
-		tests/test_obs_metrics.py tests/test_obs_tracing.py tests/test_obs_serve.py \
-		benchmarks/bench_shard_scaling.py benchmarks/bench_build_time.py \
-		benchmarks/bench_update_throughput.py benchmarks/bench_serve_latency.py \
-		benchmarks/bench_fleet_scaling.py benchmarks/bench_durability.py \
-		benchmarks/bench_observability.py
+		tests/test_obs_metrics.py tests/test_obs_tracing.py tests/test_obs_serve.py
 
 fsck-smoke:
 	@$(PYTHON) tools/fsck_smoke.py
@@ -121,9 +117,6 @@ bench-fleet:
 
 bench-durability:
 	$(PYTHON) benchmarks/bench_durability.py
-
-bench-obs:
-	$(PYTHON) benchmarks/bench_observability.py
 
 docs-lint:
 	$(PYTHON) tools/check_docs.py

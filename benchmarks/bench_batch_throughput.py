@@ -4,17 +4,21 @@ The batch query subsystem answers a whole workload through flat-array
 evaluation (one ``searchsorted`` over all bounds, gathered coefficient rows,
 one vectorized Horner pass) instead of a per-query Python loop.  This driver
 measures queries/sec of both paths for PolyFit and the baselines, checks that
-the two paths agree to ``np.allclose``, and emits a structured
-``BENCH_batch_throughput.json`` artifact at the repository root (the pytest
-run writes it under the git-ignored ``benchmarks/out/`` instead).
+the two paths agree to ``np.allclose`` (``tests/test_batch_equivalence.py``
+holds them to exact equality), and writes a structured
+``BENCH_batch_throughput.json`` artifact under the git-ignored
+``benchmarks/out/``.
 
 Methods whose structure has no flat layout (B+tree over a sample, S2
 sequential sampling) answer batches with a per-query loop; they are included
 so the comparison stays apples-to-apples, with their scalar pass measured on
 a capped subset to keep the driver fast.
 
-Run directly (``python benchmarks/bench_batch_throughput.py``) or through
-pytest (``pytest benchmarks/bench_batch_throughput.py -s``).
+Gates: PolyFit batch >= 10x its scalar loop at 100k queries (1-D and
+2-D COUNT), and the vectorized 2-D extreme >= 20x its scalar oracle.
+
+Run with ``python benchmarks/bench_batch_throughput.py`` (``make
+bench-batch``); it exits non-zero when a gate fails.
 """
 
 from __future__ import annotations
@@ -42,10 +46,7 @@ from repro.baselines import (
 from repro.bench import format_table, time_batch_per_query_ns, time_per_query_ns
 from repro.queries import queries_to_bounds
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_batch_throughput.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_batch_throughput.json"
 WORKLOAD_SIZES = [10_000, 100_000]
 #: Scalar passes of loop-batch (or per-query-descent) methods are measured on
 #: at most this many queries (their per-query cost is workload-size
@@ -232,14 +233,24 @@ def run_benchmark_2d_extreme(
     return results
 
 
-def check_gates(extreme: dict) -> list[str]:
-    """Acceptance gates over the 2-D extreme section; returns failure messages.
+def check_gates(one_key: dict, two_key: dict, extreme: dict) -> list[str]:
+    """Acceptance gates; returns failure messages.
 
-    Vectorized 2-D extremes must run >= 20x over the scalar oracle at the
-    largest workload and equal it exactly on the oracle subsample.
+    Batch answers must agree with the scalar loop for every method, and
+    PolyFit batch COUNT must run >= 10x over its scalar loop (1-D and 2-D)
+    at the largest workload.  Vectorized 2-D extremes must run >= 20x over
+    the scalar oracle there and equal it exactly on the oracle subsample.
     """
     failures = []
     largest = str(WORKLOAD_SIZES[-1])
+    for section in (one_key, two_key):
+        for name, sizes in section["methods"].items():
+            if not all(entry["allclose"] for entry in sizes.values()):
+                failures.append(f"{name}: batch answers diverge from scalar")
+    for section, name in ((one_key, "PolyFit-1D-COUNT"), (two_key, "PolyFit-2D-COUNT")):
+        speedup = section["methods"][name][largest]["speedup"]
+        if speedup < 10.0:
+            failures.append(f"{name} batch speedup {speedup}x below the 10x gate")
     entry = extreme["workloads"][largest]
     if not entry["identical"]:
         failures.append("2-D extreme vectorized path diverges from the scalar oracle")
@@ -296,11 +307,9 @@ def _print_extreme_results(extreme: dict) -> None:
     )
 
 
-def _write_artifact(
-    one_key: dict, two_key: dict, two_key_extreme: dict, path: Path = ARTIFACT_PATH
-) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(
+def _write_artifact(one_key: dict, two_key: dict, two_key_extreme: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(
         json.dumps(
             {
                 **one_key,
@@ -311,36 +320,7 @@ def _write_artifact(
         )
         + "\n"
     )
-    print(f"\nartifact written to {path}")
-
-
-def test_batch_throughput(tweet_data, osm_data):
-    """Batch is >= 10x scalar for PolyFit COUNT (1-D and 2-D) on 100k queries."""
-    keys, _ = tweet_data
-    results = run_benchmark(keys)
-    _print_results(results)
-    xs, ys = osm_data
-    results_2d = run_benchmark_2d(xs, ys)
-    _print_results(results_2d, label="Batch throughput (two keys)")
-    results_extreme = run_benchmark_2d_extreme(xs, ys)
-    _print_extreme_results(results_extreme)
-    _write_artifact(results, results_2d, results_extreme, SMOKE_ARTIFACT_PATH)
-
-    for section in (results, results_2d):
-        for name, sizes in section["methods"].items():
-            for entry in sizes.values():
-                assert entry["allclose"], f"{name}: batch answers diverge from scalar"
-    polyfit_100k = results["methods"]["PolyFit-1D-COUNT"][str(WORKLOAD_SIZES[-1])]
-    assert polyfit_100k["speedup"] >= 10.0, (
-        f"expected >= 10x batch speedup for PolyFit, got {polyfit_100k['speedup']}x"
-    )
-    polyfit2d_100k = results_2d["methods"]["PolyFit-2D-COUNT"][str(WORKLOAD_SIZES[-1])]
-    assert polyfit2d_100k["speedup"] >= 10.0, (
-        f"expected >= 10x 2-D batch speedup over the per-corner descent, "
-        f"got {polyfit2d_100k['speedup']}x"
-    )
-    failures = check_gates(results_extreme)
-    assert not failures, "; ".join(failures)
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
 if __name__ == "__main__":
@@ -357,7 +337,7 @@ if __name__ == "__main__":
     bench_results_extreme = run_benchmark_2d_extreme(points_x, points_y)
     _print_extreme_results(bench_results_extreme)
     _write_artifact(bench_results, bench_results_2d, bench_results_extreme)
-    gate_failures = check_gates(bench_results_extreme)
+    gate_failures = check_gates(bench_results, bench_results_2d, bench_results_extreme)
     if gate_failures:
         for failure in gate_failures:
             print(f"GATE FAILED: {failure}", file=sys.stderr)

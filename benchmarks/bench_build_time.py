@@ -17,11 +17,11 @@ Measures the three construction accelerations landed together:
   of the grid; the LP baseline is skipped (with a note) where its projected
   cost would dominate the whole protocol — the new path is still measured.
 
-Run directly (``python benchmarks/bench_build_time.py``) for the full
-protocol (n up to 10^6, where the degree-1 speedup gate of >= 10x applies),
-or through pytest (the smoke suite) with scaled-down sizes. The standalone
-run writes ``BENCH_build_time.json`` at the repository root; the pytest run
-writes the same file under the git-ignored ``benchmarks/out/``.
+Run with ``python benchmarks/bench_build_time.py`` (``make bench-build``;
+n up to 10^6, where the degree-1 speedup gate of >= 10x applies); it writes
+``BENCH_build_time.json`` under the git-ignored ``benchmarks/out/`` and
+exits non-zero when a gate fails.  The boundary, segment-count, error and
+quadtree bit-identity gates also hold in ``tests/test_fitting_incremental.py``.
 """
 
 from __future__ import annotations
@@ -40,14 +40,11 @@ from repro.fitting.quadtree import build_quadtree_surface, quadtree_build_signat
 from repro.fitting.segmentation import greedy_segmentation
 from repro.functions.cumulative2d import build_cumulative_2d
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_build_time.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_build_time.json"
 
 DEGREES = [1, 2, 3]
 
-#: Full protocol: sizes per degree for the new path, and the subset of sizes
+#: Sizes per degree for the new path, and the subset of sizes
 #: on which the LP baseline is also timed.  The baseline's cost per size
 #: grows superlinearly (its LPs have O(segment length) rows), so the
 #: largest baseline runs are limited to the degree-1 gate size.
@@ -58,7 +55,7 @@ DEGREES = [1, 2, 3]
 #: 100.0 under a future scipy upgrade.
 BUILD_DELTA = 100.0171
 
-MAIN_PROTOCOL = {
+PROTOCOL = {
     "one_key_sizes": [10_000, 100_000, 1_000_000],
     "one_key_baseline_sizes": {
         1: [10_000, 100_000, 1_000_000],
@@ -69,17 +66,6 @@ MAIN_PROTOCOL = {
     "two_key_points": 80_000,
     "two_key_resolution": 128,
     "speedup_gate_size": 1_000_000,
-}
-
-#: Smoke protocol (pytest/CI): small enough for the shared runners while
-#: still exercising every code path and every invariant gate.
-SMOKE_PROTOCOL = {
-    "one_key_sizes": [5_000, 20_000],
-    "one_key_baseline_sizes": {1: [5_000, 20_000], 2: [5_000], 3: [5_000]},
-    "delta": BUILD_DELTA,
-    "two_key_points": 20_000,
-    "two_key_resolution": 64,
-    "speedup_gate_size": None,
 }
 
 
@@ -232,16 +218,14 @@ def _print_results(results: dict) -> None:
     )
 
 
-def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Invariant gates (always) and the wall-clock gate (full protocol only).
+def _check_results(results: dict) -> None:
+    """Invariant gates and the wall-clock gate.
 
     Correctness: identical boundaries wherever the degree-1 baseline ran,
     equal segment counts and in-budget errors for degree >= 2, bit-identical
     parallel quadtree.  Timing: >= 10x degree-1 speedup at the gate size.
     """
-    gate_size = None
-    if strict_timing:
-        gate_size = MAIN_PROTOCOL["speedup_gate_size"]
+    gate_size = PROTOCOL["speedup_gate_size"]
     for entry in results["one_key"]["grid"]:
         label = f"n={entry['n']} degree={entry['degree']}"
         assert entry["new_errors_within_delta"], f"{label}: per-segment error > delta"
@@ -250,7 +234,7 @@ def _check_results(results: dict, *, strict_timing: bool = True) -> None:
         if entry["degree"] <= 1:
             assert entry["identical_boundaries"], f"{label}: boundaries diverged"
         assert entry["equal_segment_count"], f"{label}: segment count diverged"
-        if gate_size and entry["n"] == gate_size and entry["degree"] == 1:
+        if entry["n"] == gate_size and entry["degree"] == 1:
             assert entry["speedup"] >= 10.0, (
                 f"{label}: expected >= 10x build speedup, got {entry['speedup']}x"
             )
@@ -259,22 +243,14 @@ def _check_results(results: dict, *, strict_timing: bool = True) -> None:
     )
 
 
-def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {path}")
-
-
-def test_build_time_smoke():
-    """Smoke protocol: scaled-down grid, same invariant gates + artifact."""
-    results = run_benchmark(SMOKE_PROTOCOL)
-    _print_results(results)
-    _write_artifact(results, SMOKE_ARTIFACT_PATH)
-    _check_results(results, strict_timing=False)
+def _write_artifact(results: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
 if __name__ == "__main__":
-    bench_results = run_benchmark(MAIN_PROTOCOL)
+    bench_results = run_benchmark(PROTOCOL)
     _print_results(bench_results)
     _write_artifact(bench_results)
     _check_results(bench_results)

@@ -17,7 +17,8 @@ Protocol (1-D COUNT, degree 1):
   ``failure_policy="degrade"`` (the router widens the certified bounds to
   cover the missing partition instead of erroring).
 
-Correctness gates (always enforced, smoke and standalone):
+Correctness gates (also held by ``tests/test_wal.py`` and
+``tests/test_degrade.py``):
 
 * **replay bit-identity** — at every measured log length the recovered
   index answers ``estimate_batch`` and ``exact_batch`` bit-identically to
@@ -27,13 +28,11 @@ Correctness gates (always enforced, smoke and standalone):
 * every degraded answer with a finite bound still contains the monolithic
   oracle's exact answer (``|value - truth| <= error_bound``).
 
-Timing gate (standalone only): group-commit WAL overhead <= 3x the plain
-buffer path.
+Timing gate: group-commit WAL overhead <= 3x the plain buffer path.
 
-Run directly (``python benchmarks/bench_durability.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes. The
-standalone run writes ``BENCH_durability.json`` at the repository root; the
-pytest run writes the same file under the git-ignored ``benchmarks/out/``.
+Run with ``python benchmarks/bench_durability.py`` (``make
+bench-durability``); it writes ``BENCH_durability.json`` under the
+git-ignored ``benchmarks/out/`` and exits non-zero when a gate fails.
 """
 
 from __future__ import annotations
@@ -56,17 +55,10 @@ from repro.bench import format_table
 from repro.config import FitConfig, IndexConfig
 from repro.testing.faults import FlakyView
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_durability.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_durability.json"
 
-#: Workload sizes for the standalone (``__main__``) protocol; the pytest
-#: smoke entry point scales these down to keep CI fast.
-MAIN_SIZES = {"base": 200_000, "stream": 200_000, "insert_batch": 4_096,
-              "queries": 20_000}
-SMOKE_SIZES = {"base": 20_000, "stream": 20_000, "insert_batch": 2_048,
-               "queries": 4_000}
+SIZES = {"base": 200_000, "stream": 200_000, "insert_batch": 4_096,
+         "queries": 20_000}
 
 DELTA = 100.0
 GROUP_COMMIT = 64
@@ -284,34 +276,25 @@ def _print_results(results: dict) -> None:
     )
 
 
-def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {path}")
+def _write_artifact(results: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
-def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Correctness gates always; the WAL-overhead ceiling only standalone."""
+def _check_results(results: dict) -> None:
+    """Correctness gates, then the WAL-overhead ceiling."""
     for gate, passed in results["gates"].items():
         assert passed, f"gate failed: {gate}"
-    if strict_timing:
-        overhead = results["insert_throughput"]["group_commit_overhead_x"]
-        assert overhead <= WAL_OVERHEAD_LIMIT, (
-            f"group-commit WAL ingest should stay within {WAL_OVERHEAD_LIMIT}x "
-            f"of the plain buffer path, got {overhead}x"
-        )
-
-
-def test_durability():
-    """Smoke protocol: scaled-down sizes, same gates + artifact."""
-    results = run_benchmark(SMOKE_SIZES, repeats=1)
-    _print_results(results)
-    _write_artifact(results, SMOKE_ARTIFACT_PATH)
-    _check_results(results, strict_timing=False)
+    overhead = results["insert_throughput"]["group_commit_overhead_x"]
+    assert overhead <= WAL_OVERHEAD_LIMIT, (
+        f"group-commit WAL ingest should stay within {WAL_OVERHEAD_LIMIT}x "
+        f"of the plain buffer path, got {overhead}x"
+    )
 
 
 if __name__ == "__main__":
-    bench_results = run_benchmark(MAIN_SIZES, repeats=2)
+    bench_results = run_benchmark(SIZES, repeats=2)
     _print_results(bench_results)
     _write_artifact(bench_results)
     _check_results(bench_results)

@@ -2,7 +2,7 @@
 
 Protocol (1-D, degree 1, uniform keys, mixed-width range workload):
 
-* **bit-identity gate** (always enforced, smoke and standalone) — for every
+* **bit-identity gate** (also held by ``tests/test_fleet.py``) — for every
   partition count and every aggregate, fleet ``exact_batch`` answers are
   bit-identical to one monolithic :class:`~repro.index.polyfit1d.
   PolyFitIndex` over the same records (COUNT/MAX/MIN everywhere; SUM uses
@@ -19,15 +19,12 @@ Protocol (1-D, degree 1, uniform keys, mixed-width range workload):
 * **routed writes** — inserts/second through :meth:`~repro.fleet.fleet.
   IndexFleet.insert` (route + buffer append) at each partition count.
 
-Timing gate (standalone only): the 4-partition fleet keeps >= 25% of
-monolithic batch throughput on this workload — scatter-gather overhead is
-bounded, not free.
+Timing gate: the 4-partition fleet keeps >= 25% of monolithic batch
+throughput on this workload — scatter-gather overhead is bounded, not free.
 
-Run directly (``python benchmarks/bench_fleet_scaling.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes. The
-standalone run writes ``BENCH_fleet_scaling.json`` at the repository root;
-the pytest run writes the same file under the git-ignored
-``benchmarks/out/``.
+Run with ``python benchmarks/bench_fleet_scaling.py`` (``make
+bench-fleet``); it writes ``BENCH_fleet_scaling.json`` under the
+git-ignored ``benchmarks/out/`` and exits non-zero when a gate fails.
 """
 
 from __future__ import annotations
@@ -42,26 +39,14 @@ from repro import Aggregate, Guarantee, IndexFleet, PolyFitIndex
 from repro.bench import format_table
 from repro.config import FitConfig, IndexConfig
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet_scaling.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_fleet_scaling.json"
 
-#: Workload sizes for the standalone (``__main__``) protocol; the pytest
-#: smoke entry point scales these down to keep CI fast.
-MAIN_SIZES = {
+SIZES = {
     "records": 500_000,
     "queries": 20_000,
     "inserts": 100_000,
     "partition_counts": [1, 2, 4, 8, 16],
     "repeats": 3,
-}
-SMOKE_SIZES = {
-    "records": 60_000,
-    "queries": 3_000,
-    "inserts": 5_000,
-    "partition_counts": [1, 2, 4],
-    "repeats": 1,
 }
 
 DELTA = 100.0
@@ -239,37 +224,28 @@ def _print_results(results: dict) -> None:
     print(f"\nbit-identity vs monolithic (all aggregates): {gate}")
 
 
-def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {path}")
+def _write_artifact(results: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
-def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Correctness gates always; throughput gates standalone only."""
+def _check_results(results: dict) -> None:
+    """Correctness gates, then the throughput gate."""
     for gate, passed in results["gates"].items():
         assert passed, f"gate failed: {gate}"
     for row in results["scaling"]:
         assert row["mean_straddle"] >= 1.0
         assert row["mean_merged_bound"] >= DELTA - 1e-9
-    if strict_timing:
-        relative = results["four_partition_relative_throughput"]
-        assert relative >= 0.25, (
-            "4-partition fleet should keep >= 25% of monolithic batch "
-            f"throughput, got {relative}"
-        )
-
-
-def test_fleet_scaling():
-    """Smoke protocol: scaled-down sizes, same gates + artifact."""
-    results = run_benchmark(SMOKE_SIZES)
-    _print_results(results)
-    _write_artifact(results, SMOKE_ARTIFACT_PATH)
-    _check_results(results, strict_timing=False)
+    relative = results["four_partition_relative_throughput"]
+    assert relative >= 0.25, (
+        "4-partition fleet should keep >= 25% of monolithic batch "
+        f"throughput, got {relative}"
+    )
 
 
 if __name__ == "__main__":
-    bench_results = run_benchmark(MAIN_SIZES)
+    bench_results = run_benchmark(SIZES)
     _print_results(bench_results)
     _write_artifact(bench_results)
     _check_results(bench_results)

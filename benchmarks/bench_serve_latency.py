@@ -19,21 +19,20 @@ numbers isolate the coalescer + engine path from kernel TCP noise):
   :meth:`~repro.queries.cache.ResultCache.info` counters the server
   surfaces through ``/stats``.
 
-Correctness gate (always enforced, smoke and standalone): every coalesced
-answer is bit-identical to one direct ``query_batch`` call over the same
-workload — values, guarantee flags, fallback flags and error bounds.
+Correctness gate (also held by ``tests/test_serve_coalescer.py``): every
+coalesced answer is bit-identical to one direct ``query_batch`` call over
+the same workload — values, guarantee flags, fallback flags and error
+bounds.
 
-Timing gates (standalone only): saturation throughput >= 10x naive, and
+Timing gates: saturation throughput >= 10x naive, and
 the coalesced p99 at the lightest offered level at or below the naive p99 at
 that level (both open-loop p99s include the generator's timer lateness; the
 naive run there uses the coalesced request count, so both percentiles rest
 on the same number of samples).
 
-Run directly (``python benchmarks/bench_serve_latency.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes. The
-standalone run writes ``BENCH_serve_latency.json`` at the repository root;
-the pytest run writes the same file under the git-ignored
-``benchmarks/out/``.
+Run with ``python benchmarks/bench_serve_latency.py`` (``make
+bench-serve``); it writes ``BENCH_serve_latency.json`` under the
+git-ignored ``benchmarks/out/`` and exits non-zero when a gate fails.
 """
 
 from __future__ import annotations
@@ -50,17 +49,10 @@ from repro.bench import format_table
 from repro.config import FitConfig, IndexConfig
 from repro.serve import Coalescer, EngineHost
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve_latency.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_serve_latency.json"
 
-#: Workload sizes for the standalone (``__main__``) protocol; the pytest
-#: smoke entry point scales these down to keep CI fast.
-MAIN_SIZES = {"records": 500_000, "requests": 2_000, "naive_requests": 400,
-              "idle_probes": 50, "offered_qps": [500, 2_000, 8_000]}
-SMOKE_SIZES = {"records": 40_000, "requests": 300, "naive_requests": 60,
-               "idle_probes": 15, "offered_qps": [200, 1_000]}
+SIZES = {"records": 500_000, "requests": 2_000, "naive_requests": 400,
+         "idle_probes": 50, "offered_qps": [500, 2_000, 8_000]}
 
 DELTA = 100.0
 
@@ -325,46 +317,37 @@ def _print_results(results: dict) -> None:
     )
 
 
-def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {path}")
+def _write_artifact(results: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
-def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Correctness gates always; throughput/latency gates standalone only."""
+def _check_results(results: dict) -> None:
+    """Correctness gates, then the throughput and latency gates."""
     for gate, passed in results["gates"].items():
         assert passed, f"gate failed: {gate}"
     cache = results["cache"]
     assert cache["hits"] == cache["rounds"] - 1, (
         f"repeated workload should hit the cache, got {cache}"
     )
-    if strict_timing:
-        saturation = results["saturation"]
-        assert saturation["speedup"] >= 10.0, (
-            "coalescing should buy >= 10x saturation throughput, "
-            f"got {saturation['speedup']}x"
-        )
-        # Both open-loop p99s carry the same generator timer lateness, so
-        # the naive mode at the same offered rate is a like-for-like budget.
-        budget = results["lightest_load_naive_p99_ms"]
-        assert results["lightest_load_p99_ms"] <= budget, (
-            f"coalesced p99 at the lightest load "
-            f"({results['lightest_load_p99_ms']} ms) exceeds the naive p99 "
-            f"at the same offered rate ({budget} ms)"
-        )
-
-
-def test_serve_latency():
-    """Smoke protocol: scaled-down sizes, same gates + artifact."""
-    results = run_benchmark(SMOKE_SIZES)
-    _print_results(results)
-    _write_artifact(results, SMOKE_ARTIFACT_PATH)
-    _check_results(results, strict_timing=False)
+    saturation = results["saturation"]
+    assert saturation["speedup"] >= 10.0, (
+        "coalescing should buy >= 10x saturation throughput, "
+        f"got {saturation['speedup']}x"
+    )
+    # Both open-loop p99s carry the same generator timer lateness, so the
+    # naive mode at the same offered rate is a like-for-like budget.
+    budget = results["lightest_load_naive_p99_ms"]
+    assert results["lightest_load_p99_ms"] <= budget, (
+        f"coalesced p99 at the lightest load "
+        f"({results['lightest_load_p99_ms']} ms) exceeds the naive p99 "
+        f"at the same offered rate ({budget} ms)"
+    )
 
 
 if __name__ == "__main__":
-    bench_results = run_benchmark(MAIN_SIZES)
+    bench_results = run_benchmark(SIZES)
     _print_results(bench_results)
     _write_artifact(bench_results)
     _check_results(bench_results)

@@ -10,11 +10,10 @@ Shard speedup is hardware-bound: the artifact records ``cpu_count`` and the
 throughput assertions only apply where enough cores exist (a single-core
 container can still verify bit-identical merging, but not scaling).
 
-Run directly (``python benchmarks/bench_shard_scaling.py``) for the full
-1M-query protocol, or through pytest (the smoke suite) with scaled-down
-workloads. The standalone run writes ``BENCH_shard_scaling.json`` at the
-repository root; the pytest run writes the same file under the git-ignored
-``benchmarks/out/``.
+Run with ``python benchmarks/bench_shard_scaling.py`` (``make
+bench-shards``); it writes ``BENCH_shard_scaling.json`` under the
+git-ignored ``benchmarks/out/`` and exits non-zero when a gate fails.  The
+bit-identity gate also holds in ``tests/test_sharding.py``.
 """
 
 from __future__ import annotations
@@ -29,16 +28,11 @@ from repro import Aggregate, Guarantee, PolyFit2DIndex, PolyFitIndex
 from repro.bench import format_table, sweep_shard_counts, time_callable_ns
 from repro.queries.sharding import ShardedQueryEngine
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_shard_scaling.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_shard_scaling.json"
 SHARD_COUNTS = [1, 2, 4]
 
-#: Workload sizes for the standalone (``__main__``) protocol; the pytest
-#: smoke entry point scales these down to keep CI fast.
-MAIN_SIZES = {"one_key_count": 1_000_000, "one_key_sum": 250_000, "two_key": 150_000}
-SMOKE_SIZES = {"one_key_count": 120_000, "one_key_sum": 60_000, "two_key": 40_000}
+#: Workload sizes (queries per section).
+SIZES = {"one_key_count": 1_000_000, "one_key_sum": 250_000, "two_key": 150_000}
 
 
 def _range_bounds(keys: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,19 +159,14 @@ def _print_results(results: dict) -> None:
             )
 
 
-def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {path}")
+def _write_artifact(results: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
-def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Invariant checks: bit-identical sharding, and scaling where cores exist.
-
-    The bit-identity gate always applies.  The multi-core shard speedup gate
-    is skipped with ``strict_timing=False`` (the CI smoke run on shared noisy
-    runners) and enforced by the standalone protocol.
-    """
+def _check_results(results: dict) -> None:
+    """Invariant checks: bit-identical sharding, and scaling where cores exist."""
     for dims in ("one_key", "two_key"):
         for aggregate, section in results[dims].items():
             for count, entry in section["shards"].items():
@@ -186,26 +175,18 @@ def _check_results(results: dict, *, strict_timing: bool = True) -> None:
                     "from the serial batch path"
                 )
     cpus = results["cpu_count"] or 1
-    if strict_timing and cpus >= 4:
+    if cpus >= 4:
         best = results["one_key"]["COUNT"]["shards"]["4"]["speedup_vs_serial"]
         assert best >= 1.5, f"expected >= 1.5x at 4 shards on {cpus} cpus, got {best}x"
-    elif strict_timing:
+    else:
         print(
             f"\nNOTE: {cpus} cpu(s) available - the 4-shard speedup gate "
             "needs >= 4; the bit-identity gate still applies."
         )
 
 
-def test_shard_scaling():
-    """Smoke protocol: scaled-down workloads, same invariants + artifact."""
-    results = run_benchmark(SMOKE_SIZES, repeats=1)
-    _print_results(results)
-    _write_artifact(results, SMOKE_ARTIFACT_PATH)
-    _check_results(results, strict_timing=False)
-
-
 if __name__ == "__main__":
-    bench_results = run_benchmark(MAIN_SIZES, repeats=2)
+    bench_results = run_benchmark(SIZES, repeats=2)
     _print_results(bench_results)
     _write_artifact(bench_results)
     _check_results(bench_results)

@@ -14,7 +14,8 @@ Protocol (1-D COUNT, degree 1 — the linear-time construction path):
   bounded merge-rebuild), against the wall time of a full from-scratch
   rebuild over the same records.
 
-Correctness gates (always enforced, smoke and standalone):
+Correctness gates (also held by ``TestHeavyTailedIngest`` in
+``tests/test_stream_updatable.py``):
 
 * append-only post-compaction boundaries identical to a from-scratch
   :class:`~repro.index.polyfit1d.PolyFitIndex` build over all records, and
@@ -22,11 +23,12 @@ Correctness gates (always enforced, smoke and standalone):
 * with a non-empty buffer, ``exact_batch`` equals the brute-force oracle
   exactly (COUNT is integer arithmetic end to end).
 
-Run directly (``python benchmarks/bench_update_throughput.py``) for the full
-protocol, or through pytest (the smoke suite) with scaled-down sizes. The
-standalone run writes ``BENCH_update_throughput.json`` at the repository
-root; the pytest run writes the same file under the git-ignored
-``benchmarks/out/``.
+Timing gate: an append-only compaction at a policy-threshold buffer is
+>= 2x faster than a from-scratch rebuild.
+
+Run with ``python benchmarks/bench_update_throughput.py`` (``make
+bench-update``); it writes ``BENCH_update_throughput.json`` under the
+git-ignored ``benchmarks/out/`` and exits non-zero when a gate fails.
 """
 
 from __future__ import annotations
@@ -46,17 +48,10 @@ from repro import (
 from repro.bench import format_table, time_callable_ns
 from repro.config import FitConfig, IndexConfig
 
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_update_throughput.json"
-#: The pytest entry point is a smoke run: it writes under the git-ignored
-#: ``benchmarks/out/`` so it never overwrites the committed artifact above.
-SMOKE_ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / ARTIFACT_PATH.name
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_update_throughput.json"
 
-#: Workload sizes for the standalone (``__main__``) protocol; the pytest
-#: smoke entry point scales these down to keep CI fast.
-MAIN_SIZES = {"base": 500_000, "stream": 500_000, "insert_batch": 4_096,
-              "queries": 50_000}
-SMOKE_SIZES = {"base": 40_000, "stream": 40_000, "insert_batch": 2_048,
-               "queries": 8_000}
+SIZES = {"base": 500_000, "stream": 500_000, "insert_batch": 4_096,
+         "queries": 50_000}
 
 DELTA = 100.0
 FILL_LEVELS = [0.0, 0.25, 0.5, 1.0]
@@ -276,34 +271,25 @@ def _print_results(results: dict) -> None:
                               "faster than rebuild)")))
 
 
-def _write_artifact(results: dict, path: Path = ARTIFACT_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nartifact written to {path}")
+def _write_artifact(results: dict) -> None:
+    ARTIFACT_PATH.parent.mkdir(exist_ok=True)
+    ARTIFACT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nartifact written to {ARTIFACT_PATH}")
 
 
-def _check_results(results: dict, *, strict_timing: bool = True) -> None:
-    """Correctness gates always; pause-vs-rebuild speedup only standalone."""
+def _check_results(results: dict) -> None:
+    """Correctness gates, then the pause-vs-rebuild speedup."""
     for gate, passed in results["gates"].items():
         assert passed, f"gate failed: {gate}"
-    if strict_timing:
-        compaction = results["compaction"]
-        assert compaction["append_speedup_vs_rebuild"] >= 2.0, (
-            "append-only compaction should beat a from-scratch rebuild by >= 2x, "
-            f"got {compaction['append_speedup_vs_rebuild']}x"
-        )
-
-
-def test_update_throughput():
-    """Smoke protocol: scaled-down sizes, same gates + artifact."""
-    results = run_benchmark(SMOKE_SIZES, repeats=1)
-    _print_results(results)
-    _write_artifact(results, SMOKE_ARTIFACT_PATH)
-    _check_results(results, strict_timing=False)
+    compaction = results["compaction"]
+    assert compaction["append_speedup_vs_rebuild"] >= 2.0, (
+        "append-only compaction should beat a from-scratch rebuild by >= 2x, "
+        f"got {compaction['append_speedup_vs_rebuild']}x"
+    )
 
 
 if __name__ == "__main__":
-    bench_results = run_benchmark(MAIN_SIZES, repeats=2)
+    bench_results = run_benchmark(SIZES, repeats=2)
     _print_results(bench_results)
     _write_artifact(bench_results)
     _check_results(bench_results)

@@ -12,7 +12,7 @@ from .harness import (
     sweep_shard_counts,
     MethodTiming,
 )
-from .reporting import format_table, format_series, ExperimentRecord, record_to_lines
+from .reporting import format_table, format_series
 
 __all__ = [
     "time_per_query_ns",
@@ -22,6 +22,4 @@ __all__ = [
     "MethodTiming",
     "format_table",
     "format_series",
-    "ExperimentRecord",
-    "record_to_lines",
 ]

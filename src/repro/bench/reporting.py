@@ -2,15 +2,14 @@
 
 Benchmarks print the same rows/series as the paper's tables and figures so a
 reader can eyeball the reproduced trends; these helpers keep that formatting
-consistent and also produce structured records suitable for EXPERIMENTS.md.
+consistent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "ExperimentRecord", "record_to_lines"]
+__all__ = ["format_table", "format_series"]
 
 
 def format_table(
@@ -68,41 +67,3 @@ def _format_cell(cell: object) -> str:
             return f"{cell:.3e}"
         return f"{cell:.3f}".rstrip("0").rstrip(".")
     return str(cell)
-
-
-@dataclass
-class ExperimentRecord:
-    """Structured record of one reproduced experiment.
-
-    Attributes
-    ----------
-    experiment_id:
-        Paper identifier (e.g. ``"Figure 15(a)"``).
-    description:
-        One-line description of what is measured.
-    parameters:
-        Key experiment parameters (dataset, epsilon values, ...).
-    measurements:
-        Mapping of row/series label to the measured value(s).
-    paper_claim:
-        The qualitative claim from the paper this experiment checks.
-    """
-
-    experiment_id: str
-    description: str
-    parameters: dict = field(default_factory=dict)
-    measurements: dict = field(default_factory=dict)
-    paper_claim: str = ""
-
-
-def record_to_lines(record: ExperimentRecord) -> list[str]:
-    """Render an :class:`ExperimentRecord` as markdown-ish text lines."""
-    lines = [f"## {record.experiment_id}", record.description, ""]
-    if record.paper_claim:
-        lines.append(f"Paper claim: {record.paper_claim}")
-    if record.parameters:
-        lines.append("Parameters: " + ", ".join(f"{k}={v}" for k, v in record.parameters.items()))
-    for label, value in record.measurements.items():
-        lines.append(f"- {label}: {value}")
-    lines.append("")
-    return lines

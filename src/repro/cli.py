@@ -247,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-format", choices=["plain", "json"],
                        default="plain",
                        help="json emits one access-log line per request")
-    serve.add_argument("--no-instrument", action="store_true",
-                       help="disable all metrics instruments (overhead A/B "
-                            "baseline; /metrics exposes nothing)")
 
     metrics = subparsers.add_parser(
         "metrics", help="dump a running server's /metrics registry"
@@ -541,18 +538,11 @@ def build_serve_server(args: argparse.Namespace):
     from .serve import EngineHost, ServeServer
 
     index = _serve_index(args)
-    instrument = not getattr(args, "no_instrument", False)
-    host = EngineHost(
-        index,
-        cache_size=args.cache_size,
-        num_shards=args.num_shards,
-        instrument=instrument,
-    )
+    host = EngineHost(index, cache_size=args.cache_size, num_shards=args.num_shards)
     server = ServeServer(
         host,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        instrument=instrument,
         trace_sample_rate=getattr(args, "trace_sample_rate", 0.0),
         trace_seed=getattr(args, "trace_seed", None),
         slow_query_ms=getattr(args, "slow_query_ms", 250.0),

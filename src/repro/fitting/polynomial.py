@@ -19,6 +19,8 @@ from ..errors import FittingError, QueryError
 
 __all__ = ["Polynomial1D", "Polynomial2D", "PolynomialBank", "SurfaceBank"]
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class Polynomial1D:
@@ -54,6 +56,20 @@ class Polynomial1D:
     def degree(self) -> int:
         """Degree of the polynomial (number of coefficients minus one)."""
         return int(self.coeffs.size - 1)
+
+    def finite_on(self, low: float, high: float) -> bool:
+        """Whether Horner evaluation provably stays finite on raw ``[low, high]``.
+
+        Every Horner partial sum is bounded by ``sum|c| * max(1, |t|)**degree``,
+        so local coordinates up to ``(max_float / (2 sum|c|)) ** (1/degree)``
+        are safe.  A near-subnormal key span has a tiny ``scale``, which
+        sends a key even a unit away past that radius: evaluating there
+        would overflow to inf or NaN.
+        """
+        magnitude = max(sum(abs(c) for c in self._coeff_list), 1.0)
+        radius = (_FLOAT_MAX / (2.0 * magnitude)) ** (1.0 / max(self.degree, 1))
+        reach = radius * self.scale
+        return abs(low - self.shift) <= reach and abs(high - self.shift) <= reach
 
     def _to_local(self, k: np.ndarray | float) -> np.ndarray | float:
         return (np.asarray(k, dtype=np.float64) - self.shift) / self.scale

@@ -289,19 +289,22 @@ class _PrefixSearcher:
 
     def _feasible(self, stop: int) -> bool:
         """Whether ``[start, stop)`` admits a fit within delta (Lemma 1)."""
+        # The incumbent only certifies an extension it can evaluate: a fit
+        # over a near-subnormal key span would overflow far outside it.
         if (
             self._early_accept
             and self._best is not None
             and stop > self._best_stop
+            and self._best.polynomial.finite_on(
+                self._keys[self._best_stop], self._keys[stop - 1]
+            )
         ):
             extension = slice(self._best_stop, stop)
             residual = np.abs(
                 self._values[extension]
                 - np.asarray(self._best.polynomial(self._keys[extension]))
             )
-            # NaN-safe: evaluating the incumbent far outside its fitted span
-            # can overflow (degenerately scaled interpolation fits); a
-            # non-finite residual must fail the certificate, and Python's
+            # A non-finite residual must fail the certificate, and Python's
             # ``max(0.0, nan)`` would silently return 0.0.
             worst_new = float(residual.max())
             extended = max(self._cert_error, worst_new)

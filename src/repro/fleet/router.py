@@ -86,31 +86,27 @@ class FleetMetrics:
     counters accumulate across snapshots.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.partition_seconds = histogram_family(
             "repro_fleet_partition_seconds",
             "Per-partition fan-out execution time in seconds",
             ("partition",),
-            enabled=enabled,
         )
         self.degraded_answers_total = counter_family(
             "repro_fleet_degraded_answers_total",
             "Queries answered with widened bounds because a partition failed",
-            enabled=enabled,
         )
         self.failed_partitions_total = counter_family(
             "repro_fleet_failed_partitions_total",
             "Partition failures observed by degrade-mode scatters",
-            enabled=enabled,
         )
 
     def families(self) -> list:
-        fams = [
+        return [
             self.partition_seconds,
             self.degraded_answers_total,
             self.failed_partitions_total,
         ]
-        return [f for f in fams if getattr(f, "enabled", False)]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from repro.obs.metrics import (
     Histogram,
     HistogramFamily,
     MetricsRegistry,
-    NULL_INSTRUMENT,
-    NullInstrument,
     counter_family,
     exposed_metric_names,
     gauge_family,
@@ -40,8 +38,6 @@ __all__ = [
     "Histogram",
     "HistogramFamily",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
-    "NullInstrument",
     "counter_family",
     "exposed_metric_names",
     "gauge_family",

@@ -17,11 +17,6 @@ The layer model is deliberately small:
   ``{"index": "default"}`` — and renders the union as Prometheus text
   (format 0.0.4) or as a JSON snapshot for ``/stats``.
 
-Instrumentation can be disabled wholesale: the ``*_family`` constructors
-return a shared no-op ``NullInstrument`` when ``enabled=False``, which
-absorbs every instrument call and is skipped by ``register``.  That is what
-``benchmarks/bench_observability.py`` uses as the uninstrumented baseline.
-
 Histograms use log-spaced (geometric) buckets because the latencies we
 track span microseconds (cache hits) to seconds (compaction); percentile
 readout interpolates linearly inside the winning bucket.
@@ -45,8 +40,6 @@ __all__ = [
     "GaugeFamily",
     "HistogramFamily",
     "MetricsRegistry",
-    "NullInstrument",
-    "NULL_INSTRUMENT",
     "counter_family",
     "gauge_family",
     "histogram_family",
@@ -88,8 +81,6 @@ class Counter:
 
     __slots__ = ("_lock", "_value")
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
@@ -118,8 +109,6 @@ class Gauge:
     """Settable instantaneous value."""
 
     __slots__ = ("_lock", "_value")
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -163,8 +152,6 @@ class Histogram:
     """
 
     __slots__ = ("_lock", "_bounds", "_bounds_array", "_counts", "_sum", "_count", "_max")
-
-    enabled = True
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
@@ -264,50 +251,6 @@ class Histogram:
         return self._sum / self._count if self._count else 0.0
 
 
-class NullInstrument:
-    """Absorbs the full instrument/family API as no-ops (disabled metrics)."""
-
-    __slots__ = ()
-
-    enabled = False
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def labels(self, **_labelvalues: object) -> "NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_max(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def percentiles(self, qs: Sequence[float] = (50, 95, 99)) -> dict[str, float]:
-        return {f"p{q:g}": 0.0 for q in qs}
-
-
-NULL_INSTRUMENT = NullInstrument()
-
-
 # ---------------------------------------------------------------------------
 # families
 
@@ -344,7 +287,6 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.labelnames = labelnames
-        self.enabled = True
         self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], object] = {}
 
@@ -410,32 +352,10 @@ class HistogramFamily(MetricFamily):
         return Histogram(self._buckets)
 
 
-def counter_family(
-    name: str, help: str, labelnames: Sequence[str] = (), *, enabled: bool = True
-):
-    """Create a :class:`CounterFamily`, or the shared null when disabled."""
-    return CounterFamily(name, help, labelnames) if enabled else NULL_INSTRUMENT
-
-
-def gauge_family(
-    name: str, help: str, labelnames: Sequence[str] = (), *, enabled: bool = True
-):
-    """Create a :class:`GaugeFamily`, or the shared null when disabled."""
-    return GaugeFamily(name, help, labelnames) if enabled else NULL_INSTRUMENT
-
-
-def histogram_family(
-    name: str,
-    help: str,
-    labelnames: Sequence[str] = (),
-    *,
-    buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    enabled: bool = True,
-):
-    """Create a :class:`HistogramFamily`, or the shared null when disabled."""
-    if not enabled:
-        return NULL_INSTRUMENT
-    return HistogramFamily(name, help, labelnames, buckets)
+#: The constructors every layer builds its metric families with.
+counter_family = CounterFamily
+gauge_family = GaugeFamily
+histogram_family = HistogramFamily
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +392,9 @@ class MetricsRegistry:
 
     Families may be registered from several instances under the same metric
     name (e.g. one ``repro_cache_hits_total`` per hosted index) as long as
-    the kinds agree; ``extra_labels`` distinguish the sources.  Registration
-    of a null (disabled) family is a silent no-op, as is re-registering the
-    same family object with the same extra labels.
+    the kinds agree; ``extra_labels`` distinguish the sources.
+    Re-registering the same family object with the same extra labels is a
+    no-op.
     """
 
     def __init__(self) -> None:
@@ -483,8 +403,6 @@ class MetricsRegistry:
         self._kinds: dict[str, str] = {}
 
     def register(self, family, extra_labels: dict[str, str] | None = None):
-        if not getattr(family, "enabled", False):
-            return family
         extra = tuple(sorted((str(k), str(v)) for k, v in (extra_labels or {}).items()))
         with self._lock:
             seen = self._kinds.get(family.name)
@@ -511,10 +429,10 @@ class MetricsRegistry:
 
     # Convenience constructors: create + register in one call.
     def counter(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        return self.register(counter_family(name, help, labelnames))
+        return self.register(CounterFamily(name, help, labelnames))
 
     def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        return self.register(gauge_family(name, help, labelnames))
+        return self.register(GaugeFamily(name, help, labelnames))
 
     def histogram(
         self,
@@ -523,7 +441,7 @@ class MetricsRegistry:
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ):
-        return self.register(histogram_family(name, help, labelnames, buckets=buckets))
+        return self.register(HistogramFamily(name, help, labelnames, buckets))
 
     def families(self) -> list[MetricFamily]:
         with self._lock:

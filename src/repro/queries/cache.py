@@ -69,7 +69,7 @@ class ResultCache:
         construct a cache when caching is disabled.
     """
 
-    def __init__(self, maxsize: int, *, instrument: bool = True) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self._maxsize = int(maxsize)
@@ -79,16 +79,16 @@ class ResultCache:
         # registry (`/metrics`) and `CacheInfo` (`/stats`) read the same
         # source and can never disagree.
         self._fam_hits = counter_family(
-            "repro_cache_hits_total", "Result-cache lookups served from cache", enabled=instrument
+            "repro_cache_hits_total", "Result-cache lookups served from cache"
         )
         self._fam_misses = counter_family(
-            "repro_cache_misses_total", "Result-cache lookups that missed", enabled=instrument
+            "repro_cache_misses_total", "Result-cache lookups that missed"
         )
         self._fam_evictions = counter_family(
-            "repro_cache_evictions_total", "Result-cache entries evicted by LRU pressure", enabled=instrument
+            "repro_cache_evictions_total", "Result-cache entries evicted by LRU pressure"
         )
         self._fam_entries = gauge_family(
-            "repro_cache_entries", "Result-cache entries currently resident", enabled=instrument
+            "repro_cache_entries", "Result-cache entries currently resident"
         )
         self._hits = self._fam_hits.labels()
         self._misses = self._fam_misses.labels()
@@ -97,8 +97,7 @@ class ResultCache:
 
     def metrics_families(self) -> list:
         """The cache's metric families, for registry registration."""
-        fams = [self._fam_hits, self._fam_misses, self._fam_evictions, self._fam_entries]
-        return [f for f in fams if getattr(f, "enabled", False)]
+        return [self._fam_hits, self._fam_misses, self._fam_evictions, self._fam_entries]
 
     @staticmethod
     def make_key(

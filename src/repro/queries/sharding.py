@@ -89,16 +89,15 @@ class ShardMetrics:
     swaps.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.exec_seconds = histogram_family(
             "repro_shard_exec_seconds",
             "Per-shard chunk execution time in seconds",
             ("shard",),
-            enabled=enabled,
         )
 
     def families(self) -> list:
-        return [self.exec_seconds] if getattr(self.exec_seconds, "enabled", False) else []
+        return [self.exec_seconds]
 
 
 def _merge(parts: list):

@@ -1,8 +1,9 @@
 """Request coalescing: scalar traffic in, vectorized batches out.
 
-The batch read path answers N queries 60-80x faster per query than N scalar
-calls (``BENCH_batch_throughput.json``), but end users issue *scalar*
-requests.  :class:`Coalescer` converts one into the other with group
+The batch read path answers a query inside a large batch far more cheaply
+than a batch of one (a traced perfbench run reports both, as
+``index.us_per_query`` and ``index.batch1_us_p50``), but end users issue
+*scalar* requests.  :class:`Coalescer` converts one into the other with group
 commit: concurrent requests accumulate in per-``(index, guarantee)``
 queues, and a queue is flushed as **one** ``query_batch`` call as soon as
 no flush of it is in flight; per-query answers are scattered back to
@@ -122,63 +123,52 @@ class CoalescerMetrics:
     plain ``Counter``/``Histogram`` objects, never the family dict.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._fam_submitted = counter_family(
             "repro_coalescer_submitted_total",
             "Scalar requests accepted into a coalescing queue.",
-            enabled=enabled,
         )
         self._fam_served = counter_family(
             "repro_coalescer_served_total",
             "Requests answered out of a coalesced batch.",
-            enabled=enabled,
         )
         self._fam_rejected = counter_family(
             "repro_coalescer_rejected_total",
             "Requests refused by admission control or shutdown.",
-            enabled=enabled,
         )
         self._fam_failed = counter_family(
             "repro_coalescer_failed_total",
             "Requests failed by an engine error during their flush.",
-            enabled=enabled,
         )
         self._fam_batches = counter_family(
             "repro_coalescer_batches_total",
             "Engine calls issued (one per flushed slice).",
-            enabled=enabled,
         )
         self._fam_ticks = counter_family(
             "repro_coalescer_ticks_total",
             "Flusher passes: one per flushed slice, plus one per flusher "
             "that found its queue already drained.",
-            enabled=enabled,
         )
         self._fam_pending = gauge_family(
             "repro_coalescer_pending",
             "Requests accepted but not yet answered.",
-            enabled=enabled,
         )
         self._fam_max_batch = gauge_family(
             "repro_coalescer_max_batch_size",
             "Largest batch flushed so far.",
-            enabled=enabled,
         )
         self._fam_queue_wait = histogram_family(
             "repro_coalescer_queue_wait_seconds",
             "Time a request spent queued before its flush began.",
-            enabled=enabled,
         )
         self._fam_flush = histogram_family(
             "repro_coalescer_flush_seconds",
             "Engine-call latency of one flushed slice (pin to answer).",
-            enabled=enabled,
         )
         self._fam_batch_size = histogram_family(
             "repro_coalescer_batch_size",
             "Requests per engine call (the coalescing win).",
             buckets=SIZE_BUCKETS,
-            enabled=enabled,
         )
         self.submitted = self._fam_submitted.labels()
         self.served = self._fam_served.labels()
@@ -194,21 +184,17 @@ class CoalescerMetrics:
 
     def families(self) -> list:
         return [
-            family
-            for family in (
-                self._fam_submitted,
-                self._fam_served,
-                self._fam_rejected,
-                self._fam_failed,
-                self._fam_batches,
-                self._fam_ticks,
-                self._fam_pending,
-                self._fam_max_batch,
-                self._fam_queue_wait,
-                self._fam_flush,
-                self._fam_batch_size,
-            )
-            if getattr(family, "enabled", False)
+            self._fam_submitted,
+            self._fam_served,
+            self._fam_rejected,
+            self._fam_failed,
+            self._fam_batches,
+            self._fam_ticks,
+            self._fam_pending,
+            self._fam_max_batch,
+            self._fam_queue_wait,
+            self._fam_flush,
+            self._fam_batch_size,
         ]
 
 
@@ -224,10 +210,6 @@ class Coalescer:
         Largest single engine call; a fuller queue is drained in slices.
     max_pending:
         Admission-control bound on queued requests across all queues.
-    instrument:
-        When False, every instrument in :class:`CoalescerMetrics` is the
-        shared null no-op (for overhead A/B runs); :attr:`stats` then reads
-        all zeros.
     tracer:
         Optional sampled :class:`~repro.obs.tracing.Tracer`.  The sampling
         decision is made per request at :meth:`submit`; sampled requests
@@ -241,7 +223,6 @@ class Coalescer:
         *,
         max_batch: int = 8192,
         max_pending: int = 65536,
-        instrument: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
         if isinstance(hosts, EngineHost):
@@ -259,7 +240,7 @@ class Coalescer:
         self._flushers: dict[_QueueKey, asyncio.Task] = {}
         self._pending = 0
         self._closed = False
-        self._obs = CoalescerMetrics(enabled=instrument)
+        self._obs = CoalescerMetrics()
         self._tracer = tracer
 
     @property

@@ -47,26 +47,22 @@ class HostMetrics:
     ``{"index": name}`` label so multiple hosts stay distinct series.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._fam_pins = counter_family(
             "repro_host_pins_total",
             "Serving views pinned (one per coalesced flush).",
-            enabled=enabled,
         )
         self._fam_swaps = counter_family(
             "repro_host_epoch_swaps_total",
             "Epoch changes observed at pin time (compaction publications).",
-            enabled=enabled,
         )
         self._fam_epoch = gauge_family(
             "repro_host_epoch",
             "Flush epoch of the most recently pinned view.",
-            enabled=enabled,
         )
         self._fam_version = gauge_family(
             "repro_host_write_version",
             "Live write version captured at the most recent pin.",
-            enabled=enabled,
         )
         self.pins = self._fam_pins.labels()
         self.epoch_swaps = self._fam_swaps.labels()
@@ -74,16 +70,7 @@ class HostMetrics:
         self.version = self._fam_version.labels()
 
     def families(self) -> list:
-        return [
-            family
-            for family in (
-                self._fam_pins,
-                self._fam_swaps,
-                self._fam_epoch,
-                self._fam_version,
-            )
-            if getattr(family, "enabled", False)
-        ]
+        return [self._fam_pins, self._fam_swaps, self._fam_epoch, self._fam_version]
 
 
 @dataclass(frozen=True)
@@ -123,11 +110,6 @@ class EngineHost:
         and only for workloads above the serial cutoff); the previous
         wrapper is retired one swap later so an in-flight flush can finish
         on it.
-    instrument:
-        When False, disables every instrument this host owns (its own
-        bundle, the result cache's, the shard wrapper's) for overhead A/B
-        runs.  Index-level instruments (WAL, compaction) belong to the
-        index and are unaffected.
     """
 
     def __init__(
@@ -137,7 +119,6 @@ class EngineHost:
         name: str = "default",
         cache_size: int = 0,
         num_shards: int = 1,
-        instrument: bool = True,
     ) -> None:
         if not callable(getattr(index, "query_batch", None)):
             raise QueryError(
@@ -151,17 +132,13 @@ class EngineHost:
         self._num_shards = int(num_shards)
         self._updatable = callable(getattr(index, "snapshot", None))
         self._dims = int(getattr(index, "dims", 1))
-        self._cache = (
-            ResultCache(cache_size, instrument=instrument) if cache_size > 0 else None
-        )
-        self._obs = HostMetrics(enabled=instrument)
+        self._cache = ResultCache(cache_size) if cache_size > 0 else None
+        self._obs = HostMetrics()
         # Shard timing persists across epoch swaps: the bundle outlives the
         # per-epoch ShardedQueryEngine wrappers it is handed to.
         from ..queries.sharding import ShardMetrics
 
-        self._shard_metrics = (
-            ShardMetrics() if instrument and self._num_shards > 1 else None
-        )
+        self._shard_metrics = ShardMetrics() if self._num_shards > 1 else None
         self._last_epoch: int | None = None
         # (pinned base object -> sharded wrapper); at most two generations
         # are kept alive so a flush evaluating on the old view can finish.
@@ -396,10 +373,14 @@ class EngineHost:
         return engine
 
     def close(self) -> None:
-        """Release any sharded worker pools (idempotent)."""
+        """Release any sharded worker pools and close the hosted index
+        (an updatable index syncs and closes its WAL); idempotent."""
         while self._sharded:
             _, engine = self._sharded.pop()
             engine.close()
+        close_index = getattr(self._index, "close", None)
+        if callable(close_index):
+            close_index()
 
     def __enter__(self) -> "EngineHost":
         return self

@@ -109,35 +109,24 @@ class _RawText(NamedTuple):
 class HttpMetrics:
     """Front-door instruments: per-endpoint traffic, latency, slow queries."""
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.requests_total = counter_family(
             "repro_http_requests_total",
             "HTTP requests answered, by endpoint and status code.",
             ("endpoint", "status"),
-            enabled=enabled,
         )
         self.request_seconds = histogram_family(
             "repro_http_request_seconds",
             "Wall time from routing a request to having its response body.",
             ("endpoint",),
-            enabled=enabled,
         )
         self.slow_queries_total = counter_family(
             "repro_http_slow_queries_total",
             "Query requests that crossed the slow-query threshold.",
-            enabled=enabled,
         )
 
     def families(self) -> list:
-        return [
-            family
-            for family in (
-                self.requests_total,
-                self.request_seconds,
-                self.slow_queries_total,
-            )
-            if getattr(family, "enabled", False)
-        ]
+        return [self.requests_total, self.request_seconds, self.slow_queries_total]
 
 
 def _parse_guarantee(payload: dict) -> Guarantee | None:
@@ -235,11 +224,6 @@ class ServeServer:
 
     Observability knobs
     -------------------
-    ``instrument``
-        When False the server's own instruments (HTTP + coalescer) are
-        no-ops and the registry exposes only whatever the hosts still
-        record; pair with ``EngineHost(instrument=False)`` for a fully
-        uninstrumented A/B baseline.
     ``trace_sample_rate`` / ``trace_capacity`` / ``trace_seed``
         Fraction of ``/query`` requests that record a span timeline, the
         ring size, and an optional seed for deterministic sampling.
@@ -257,7 +241,6 @@ class ServeServer:
         *,
         max_batch: int = 8192,
         max_pending: int = 65536,
-        instrument: bool = True,
         trace_sample_rate: float = 0.0,
         trace_capacity: int = 256,
         trace_seed: int | None = None,
@@ -276,7 +259,6 @@ class ServeServer:
             hosts,
             max_batch=max_batch,
             max_pending=max_pending,
-            instrument=instrument,
             tracer=self.tracer,
         )
         self._hosts = self.coalescer.hosts
@@ -286,7 +268,7 @@ class ServeServer:
         self.slowlog = SlowQueryLog(threshold_ms=slow_query_ms)
         self._log_format = log_format
         self._log_stream = log_stream
-        self._obs = HttpMetrics(enabled=instrument)
+        self._obs = HttpMetrics()
         self.metrics = MetricsRegistry()
         self.metrics.register_all(self._obs.families())
         self.metrics.register_all(self.coalescer.metrics_families())

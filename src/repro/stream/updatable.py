@@ -65,23 +65,21 @@ class IngestMetrics:
     index's ``metrics_families()``.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.compactions_total = counter_family(
-            "repro_compactions_total", "Completed compactions (buffer folds into base)", enabled=enabled
+            "repro_compactions_total", "Completed compactions (buffer folds into base)"
         )
         self.compaction_seconds = histogram_family(
-            "repro_compaction_seconds", "Compaction pause duration in seconds", enabled=enabled
+            "repro_compaction_seconds", "Compaction pause duration in seconds"
         )
         self.trigger_buffer_size = histogram_family(
             "repro_compaction_trigger_buffer_size",
             "Buffered records at the moment a compaction started",
             buckets=SIZE_BUCKETS,
-            enabled=enabled,
         )
 
     def families(self) -> list:
-        fams = [self.compactions_total, self.compaction_seconds, self.trigger_buffer_size]
-        return [f for f in fams if getattr(f, "enabled", False)]
+        return [self.compactions_total, self.compaction_seconds, self.trigger_buffer_size]
 
 
 def _open_fresh_wal(wal_path, *, sync_every: int, opener) -> WriteAheadLog:
@@ -456,6 +454,11 @@ class UpdatablePolyFitIndex(SnapshotReads):
     def wal(self) -> WriteAheadLog | None:
         """The attached write-ahead log, if any."""
         return self._wal
+
+    def close(self) -> None:
+        """Sync and close the attached WAL (idempotent; no-op without one)."""
+        if self._wal is not None:
+            self._wal.close()
 
     def metrics_families(self) -> list:
         """Compaction + WAL metric families, for registry registration."""

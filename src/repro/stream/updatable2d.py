@@ -332,6 +332,11 @@ class UpdatablePolyFit2DIndex(SnapshotReads):
         """The attached write-ahead log, if any."""
         return self._wal
 
+    def close(self) -> None:
+        """Sync and close the attached WAL (idempotent; no-op without one)."""
+        if self._wal is not None:
+            self._wal.close()
+
     def metrics_families(self) -> list:
         """Compaction + WAL metric families, for registry registration."""
         fams = self._obs.families()

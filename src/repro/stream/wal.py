@@ -293,40 +293,36 @@ _FSYNC_BUCKETS = log_buckets(1e-5, 1.0, 18)
 class WalMetrics:
     """Durability instruments for one :class:`WriteAheadLog`."""
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.appends_total = counter_family(
             "repro_wal_appends_total",
             "WAL records appended, by record kind",
             ("kind",),
-            enabled=enabled,
         )
         self.fsyncs_total = counter_family(
-            "repro_wal_fsyncs_total", "WAL durability barriers (fsync) issued", enabled=enabled
+            "repro_wal_fsyncs_total", "WAL durability barriers (fsync) issued"
         )
         self.fsync_seconds = histogram_family(
             "repro_wal_fsync_seconds",
             "WAL durability-barrier latency in seconds",
             buckets=_FSYNC_BUCKETS,
-            enabled=enabled,
         )
         self.recoveries_total = counter_family(
-            "repro_wal_recoveries_total", "Successful WAL replays into an index", enabled=enabled
+            "repro_wal_recoveries_total", "Successful WAL replays into an index"
         )
         self.replayed_records_total = counter_family(
             "repro_wal_replayed_records_total",
             "WAL records re-applied during recovery replays",
-            enabled=enabled,
         )
 
     def families(self) -> list:
-        fams = [
+        return [
             self.appends_total,
             self.fsyncs_total,
             self.fsync_seconds,
             self.recoveries_total,
             self.replayed_records_total,
         ]
-        return [f for f in fams if getattr(f, "enabled", False)]
 
 
 class WriteAheadLog:
@@ -358,7 +354,6 @@ class WriteAheadLog:
         *,
         sync_every: int = 1,
         opener=None,
-        instrument: bool = True,
     ) -> None:
         if sync_every < 1:
             raise SerializationError(f"sync_every must be >= 1, got {sync_every}")
@@ -367,7 +362,7 @@ class WriteAheadLog:
         self._opener = opener or (lambda p, mode: open(p, mode))
         self._pending = 0
         self._closed = False
-        self.metrics = WalMetrics(enabled=instrument)
+        self.metrics = WalMetrics()
         self.insert_records = 0
         self.compaction_records = 0
         self.seal_records = 0

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.bench import (
-    ExperimentRecord,
     MethodTiming,
     format_series,
     format_table,
-    record_to_lines,
     time_callable_ns,
     time_per_query_ns,
 )
@@ -75,16 +73,3 @@ class TestFormatting:
     def test_float_formatting(self):
         text = format_table(["v"], [[0.0001234], [1234567.0], [1.5]])
         assert "e" in text  # scientific notation used for extremes
-
-    def test_record_to_lines(self):
-        record = ExperimentRecord(
-            experiment_id="Figure 15(a)",
-            description="COUNT response time vs eps_abs",
-            parameters={"dataset": "tweet"},
-            measurements={"PolyFit-2": "93 ns"},
-            paper_claim="PolyFit is 1.5-6x faster than RMI/FITing-tree",
-        )
-        lines = record_to_lines(record)
-        assert any("Figure 15(a)" in line for line in lines)
-        assert any("dataset=tweet" in line for line in lines)
-        assert any("PolyFit-2" in line for line in lines)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import QuadTreeConfig
-from repro.datasets import osm_points
+from repro.datasets import osm_points, tweet_latitudes
 from repro.errors import FittingError
 from repro.fitting import (
     IncrementalConstantFitter,
@@ -231,6 +231,22 @@ class TestScannerMatchesLPBoundaries:
         assert len(fast) == len(baseline)
         assert all(s.max_error <= delta + 1e-9 for s in fast)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_tweet_count_function_matches_lp_baseline(self, degree):
+        # The construction benchmark's workload: the COUNT cumulative
+        # function of TWEET latitudes, at a budget off round float ties.
+        keys, _ = tweet_latitudes(5_000, seed=101)
+        values = np.arange(1, keys.size + 1, dtype=np.float64)
+        delta = 100.0171
+        fast = greedy_segmentation(keys, values, delta=delta, degree=degree)
+        baseline = greedy_segmentation(
+            keys, values, delta=delta, degree=degree, solver="lp", early_accept=False
+        )
+        assert all(s.max_error <= delta + 1e-9 for s in fast)
+        assert len(fast) == len(baseline)
+        if degree == 1:
+            assert [s.stop for s in fast] == [s.stop for s in baseline]
+
     def test_early_accept_does_not_change_boundaries(self):
         keys, values = _random_function(300, seed=6)
         with_cert = greedy_segmentation(keys, values, delta=30.0, degree=2)
@@ -239,10 +255,11 @@ class TestScannerMatchesLPBoundaries:
         )
         assert [s.stop for s in with_cert] == [s.stop for s in without_cert]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_keys_regression(self):
-        # A degenerately scaled interpolation incumbent evaluates to NaN far
-        # outside its span; the early-accept certificate must treat that as a
-        # failure, not a pass (Python's max(0.0, nan) returns 0.0).
+        # A subnormal key span must not be magnified into an overflowing
+        # local basis: evaluating an incumbent far outside its span stays
+        # finite, so the early-accept certificate never sees inf or NaN.
         keys = np.sort(
             np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 388.0, 1.5, 4.3e-306, 2.2e-313])
         )

@@ -245,6 +245,25 @@ class TestOracleEquivalence:
             fleet.exact_batch(lows, highs), mono.exact_batch(lows, highs)
         )
 
+    @pytest.mark.parametrize("num_partitions", [1, 2, 4])
+    def test_every_aggregate_at_every_partition_count(self, num_partitions):
+        keys, measures = _dataset(n=6000, seed=23)
+        lows, highs = _queries(m=500, seed=24)
+        for aggregate in ALL_AGGREGATES:
+            fleet, mono = _build_pair(
+                aggregate, keys, measures, num_partitions=num_partitions
+            )
+            exact = mono.exact_batch(lows, highs)
+            assert np.array_equal(fleet.exact_batch(lows, highs), exact, equal_nan=True)
+            result = fleet.query_batch(lows, highs, Guarantee.relative(0.05))
+            assert bool(result.guaranteed.all())
+            _satisfies_relative(result.values, exact, 0.05)
+            # A merged bound adds one partition's budget per straddled
+            # partition, so no query's bound drops below one budget.
+            bounds = fleet.snapshot().error_bounds_batch(lows, highs)
+            assert np.all(bounds >= fleet.partitions[0].certified_bound)
+            fleet.close()
+
     def test_scalar_query_surface(self):
         keys, measures = _dataset(n=800)
         fleet, mono = _build_pair(Aggregate.SUM, keys, measures, num_partitions=3)

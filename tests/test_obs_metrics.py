@@ -16,15 +16,12 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     EXPOSITION_CONTENT_TYPE,
-    NULL_INSTRUMENT,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     counter_family,
     exposed_metric_names,
-    gauge_family,
-    histogram_family,
     log_buckets,
     validate_exposition,
 )
@@ -132,13 +129,6 @@ class TestFamilies:
         with pytest.raises(ValueError):
             fam.inc()
 
-    def test_disabled_family_is_null(self):
-        fam = counter_family("t_off_total", "help", enabled=False)
-        assert fam is NULL_INSTRUMENT
-        fam.inc()
-        fam.labels(anything="ok").observe(1.0)  # absorbs the whole API
-        assert fam.value == 0.0
-
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
             counter_family("0bad", "help")
@@ -226,11 +216,6 @@ class TestRegistryExposition:
         registry.register(fam)
         registry.register(fam)
         assert registry.exposition().count("t_idem_total 1") == 1
-
-    def test_disabled_family_skipped(self):
-        registry = MetricsRegistry()
-        registry.register(counter_family("t_gone_total", "x", enabled=False))
-        assert registry.exposition() == ""
 
     def test_exposed_metric_names(self):
         registry = MetricsRegistry()

@@ -13,9 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from repro import Aggregate, PolyFitIndex, UpdatablePolyFitIndex
+from repro import Aggregate, IndexFleet, PolyFitIndex, UpdatablePolyFitIndex
 from repro.cli import main
 from repro.obs.metrics import exposed_metric_names, validate_exposition
+from repro.obs.tracing import Tracer
 from repro.serve import (
     EngineHost,
     ServeServer,
@@ -122,19 +123,6 @@ class TestMetricsEndpoint:
         latency = snap["repro_http_request_seconds"]["samples"]
         assert any("p99" in sample for sample in latency)
 
-    def test_uninstrumented_server_exposes_nothing_but_serves(self, index):
-        def scenario(url, _server):
-            answer = query_remote(url, 10.0, 500.0)
-            return answer, metrics_remote(url)
-
-        answer, text = with_server(
-            lambda: EngineHost(index, instrument=False),
-            scenario,
-            instrument=False,
-        )
-        assert answer["value"] > 0
-        assert exposed_metric_names(text) == []
-
 
 class TestStatsSingleSource:
     def test_stats_is_view_over_registry(self, index):
@@ -192,6 +180,36 @@ class TestTracing:
         assert "engine_exec" in span_names or "shard_exec" in span_names
         assert trace["attrs"]["index"] == "default"
         assert trace["attrs"]["batch_size"] >= 1
+
+    @pytest.mark.parametrize(
+        "make_host",
+        [
+            lambda index, keys: EngineHost(index),
+            lambda index, keys: EngineHost(index, cache_size=8),
+            lambda index, keys: EngineHost(index, num_shards=2),
+            lambda index, keys: EngineHost(
+                IndexFleet.build(keys, None, Aggregate.COUNT, delta=DELTA, num_partitions=3)
+            ),
+        ],
+        ids=["plain", "cached", "sharded", "fleet"],
+    )
+    def test_traced_execute_bit_identical_to_untraced(self, index, keys, make_host):
+        lows, highs = np.sort(np.random.default_rng(9).uniform(0.0, 1000.0, (2, 400)), axis=0)
+        tracer = Tracer(sample_rate=1.0, seed=1)
+        answers = []
+        for traced in (False, True):
+            host = make_host(index, keys)
+            trace = tracer.start("execute") if traced else None
+            answers.append(host.execute(host.pin(), (lows, highs), None, trace))
+            host.close()
+        assert trace is not None and trace.spans
+        untraced, traced = answers
+        direct = host.index.query_batch(lows, highs)
+        for answer in (untraced, traced):
+            assert np.array_equal(answer.values, direct.values)
+            assert np.array_equal(answer.guaranteed, direct.guaranteed)
+            assert np.array_equal(answer.exact_fallback, direct.exact_fallback)
+            assert np.array_equal(answer.error_bounds, direct.error_bounds, equal_nan=True)
 
     def test_sampling_rate_respected_deterministically(self, index):
         def scenario(url, _server):
@@ -340,11 +358,11 @@ class TestMetricsCli:
                 "serve", "--synthetic", "1000", "--delta", "50",
                 "--trace-sample-rate", "0.01", "--trace-seed", "3",
                 "--slow-query-ms", "5", "--log-format", "json",
-                "--no-instrument",
             ]
         )
         assert args.trace_sample_rate == 0.01
         assert args.trace_seed == 3
         assert args.slow_query_ms == 5.0
         assert args.log_format == "json"
-        assert args.no_instrument is True
+        with pytest.raises(SystemExit):  # metrics are always on
+            build_parser().parse_args(["serve", "--synthetic", "1000", "--no-instrument"])

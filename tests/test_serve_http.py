@@ -6,6 +6,8 @@ threads so the loop stays free to serve them.
 """
 
 import asyncio
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,28 @@ class TestWritePath:
         assert compacted["epoch"] == before["epoch"] + 1
         assert settled["value"] == after["value"]
         assert settled["epoch"] == compacted["epoch"]
+
+    def test_stop_closes_the_wal(self, keys, tmp_path):
+        wal_path = tmp_path / "stop.wal"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            index = UpdatablePolyFitIndex.build(
+                keys[:2000],
+                aggregate=Aggregate.COUNT,
+                delta=DELTA,
+                wal_path=wal_path,
+                wal_sync_every=8,
+            )
+            index.insert(np.array([1.5, 2.5, 3.5]))
+            assert index.wal.pending_records == 1  # inside the group-commit window
+            with_server(lambda: EngineHost(index), health_remote)
+            wal = index.wal
+            assert wal.closed
+            assert wal.pending_records == 0
+            del index, wal
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not [w for w in leaked if str(wal_path) in str(w.message)]
 
     def test_writes_rejected_on_immutable_host(self, index):
         def scenario(url):

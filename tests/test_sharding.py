@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Aggregate, Guarantee, QueryEngine, ShardedQueryEngine
+from repro import (
+    Aggregate,
+    Guarantee,
+    PolyFit2DIndex,
+    PolyFitIndex,
+    QueryEngine,
+    ShardedQueryEngine,
+)
 from repro.errors import QueryError
 from repro.queries import generate_range_queries, queries_to_bounds
 from repro.queries.sharding import shard_slices
@@ -143,6 +150,35 @@ class TestShardedEquivalence2D:
             index=count2d_index,
             num_shards=num_shards,
             min_queries_per_shard=PATHS[path],
+        ) as engine:
+            assert np.array_equal(engine.estimate_batch(*rect_bounds), serial)
+
+
+class TestShardedSum:
+    """Sharded SUM equals the serial path bit for bit: each shard runs the
+    same element-wise kernels over a slice of the queries."""
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_one_key_sum(self, tweet_small, count_bounds, num_shards):
+        keys, measures = tweet_small
+        index = PolyFitIndex.build(keys, measures, aggregate=Aggregate.SUM, delta=100.0)
+        serial = index.estimate_batch(*count_bounds)
+        with ShardedQueryEngine(
+            index=index, num_shards=num_shards, min_queries_per_shard=1
+        ) as engine:
+            assert np.array_equal(engine.estimate_batch(*count_bounds), serial)
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_two_key_sum(self, osm_small, rect_bounds, num_shards):
+        xs, ys = osm_small
+        weights = np.random.default_rng(104).uniform(0.5, 2.0, xs.size)
+        index = PolyFit2DIndex.build(
+            xs, ys, measures=weights, aggregate=Aggregate.SUM, delta=250.0,
+            grid_resolution=64,
+        )
+        serial = index.estimate_batch(*rect_bounds)
+        with ShardedQueryEngine(
+            index=index, num_shards=num_shards, min_queries_per_shard=1
         ) as engine:
             assert np.array_equal(engine.estimate_batch(*rect_bounds), serial)
 

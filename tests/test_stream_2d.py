@@ -153,6 +153,17 @@ class TestQuadLeafExtremes:
             else:
                 assert got[i] == float(reduce(measures[mask]))
 
+    def test_vectorized_equals_scalar_oracle(self, directory_with_points):
+        directory, xs, ys, measures = directory_with_points
+        directory.point_extremes = None
+        directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
+        bounds = _rects(np.random.default_rng(112), 300)
+        assert np.array_equal(
+            directory.range_extreme_batch(*bounds),
+            directory.range_extreme_batch(*bounds, force_scalar=True),
+            equal_nan=True,
+        )
+
     def test_empty_rectangle_is_nan(self, directory_with_points):
         directory, xs, ys, measures = directory_with_points
         directory.point_extremes = None

@@ -587,3 +587,74 @@ class TestPropertyOracle:
                     index.estimate_batch(lows, highs),
                     scratch.estimate_batch(lows, highs),
                 )
+
+
+def _heavy_tailed_stream(total: int, seed: int) -> np.ndarray:
+    """Strictly increasing arrival timestamps with heavy-tailed gaps."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.lognormal(0.0, 1.5, size=total))
+
+
+class TestHeavyTailedIngest:
+    """The ingestion protocol of ``benchmarks/bench_update_throughput.py``
+    at test scale: its correctness gates hold on every run, not only when
+    the benchmark is run."""
+
+    DELTA = 100.0
+    BASE = 20_000
+    STREAM = 20_000
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        keys = _heavy_tailed_stream(self.BASE + self.STREAM, seed=7)
+        draws = np.random.default_rng(11).uniform(keys[0], keys[-1], size=(2, 2000))
+        return keys, np.minimum(*draws), np.maximum(*draws)
+
+    def _build(self, keys):
+        return UpdatablePolyFitIndex.build(
+            keys,
+            aggregate=Aggregate.COUNT,
+            delta=self.DELTA,
+            config=_config(1),
+            policy=CompactionPolicy(auto=False),
+        )
+
+    def _scratch(self, keys):
+        return PolyFitIndex.build(
+            keys, aggregate=Aggregate.COUNT, delta=self.DELTA, config=_config(1)
+        )
+
+    def test_half_the_records_through_the_buffer(self, stream):
+        keys, lows, highs = stream
+        index = self._build(keys[: self.BASE])
+        for position in range(self.BASE, keys.size, 2048):
+            index.insert(keys[position: position + 2048])
+        oracle = (
+            np.searchsorted(keys, highs, side="right")
+            - np.searchsorted(keys, lows, side="left")
+        ).astype(np.float64)
+        assert np.array_equal(index.exact_batch(lows, highs), oracle)
+        index.compact()
+        scratch = self._scratch(keys)
+        assert _boundaries(index.segments) == _boundaries(scratch.segments)
+        assert np.array_equal(
+            index.estimate_batch(lows, highs), scratch.estimate_batch(lows, highs)
+        )
+
+    def test_threshold_tail_then_out_of_order_tail(self, stream):
+        keys, _, _ = stream
+        tail = self.STREAM // 10
+        half = tail // 2
+        index = self._build(keys[: keys.size - tail])
+        # Two epochs: the first compaction starts the open segment's
+        # corridor scanner cold, the second resumes it.
+        index.insert(keys[keys.size - tail: keys.size - half])
+        index.compact()
+        index.insert(keys[keys.size - half:])
+        index.compact()
+        assert _boundaries(index.segments) == _boundaries(self._scratch(keys).segments)
+        scattered = np.random.default_rng(13).uniform(keys[0], keys[-1], size=tail)
+        index.insert(scattered)
+        index.compact()
+        merged = self._scratch(np.concatenate([keys, scattered]))
+        assert _boundaries(index.segments) == _boundaries(merged.segments)

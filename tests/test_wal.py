@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Aggregate, CompactionPolicy, Guarantee, UpdatablePolyFitIndex
+from repro import Aggregate, CompactionPolicy, UpdatablePolyFitIndex
 from repro.config import FitConfig, IndexConfig, SegmentationConfig
 from repro.errors import SerializationError
 from repro.stream import WriteAheadLog, scan_wal
@@ -203,6 +203,49 @@ class TestReplayBitIdentity:
             recovered.estimate_batch(lows, highs, lows, highs),
             live.estimate_batch(lows, highs, lows, highs),
         )
+
+    def test_logging_does_not_perturb_answers(self, tmp_path):
+        keys, measures = _records(1200, seed=5)
+        lows, highs = np.sort(np.random.default_rng(6).uniform(-10, 1010, (2, 300)), axis=0)
+        plain = _build(Aggregate.COUNT, keys[:600], measures[:600])
+        logged = [
+            _build(Aggregate.COUNT, keys[:600], measures[:600],
+                   wal_path=tmp_path / f"sync{every}.wal", wal_sync_every=every)
+            for every in (64, 1)
+        ]
+        for start in range(600, 1200, 100):
+            for index in (plain, *logged):
+                index.insert(keys[start:start + 100])
+        for index in logged:
+            assert np.array_equal(
+                index.estimate_batch(lows, highs), plain.estimate_batch(lows, highs)
+            )
+            assert np.array_equal(index.exact_batch(lows, highs), plain.exact_batch(lows, highs))
+            index.close()
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    def test_checkpointed_base_replays_any_log_length(self, tmp_path, fraction):
+        keys, measures = _records(1200, seed=8)
+        lows, highs = np.sort(np.random.default_rng(9).uniform(-10, 1010, (2, 300)), axis=0)
+        checkpoint = _build(Aggregate.COUNT, keys[:600], measures[:600]).checkpoint(
+            tmp_path / "base.pfbin"
+        )
+        wal = tmp_path / "suffix.wal"
+        writer = _build(
+            Aggregate.COUNT, keys[:600], measures[:600], wal_path=wal, wal_sync_every=64
+        )
+        stop = 600 + int(600 * fraction)
+        for start in range(600, stop, 100):
+            writer.insert(keys[start:min(start + 100, stop)])
+        writer.close()
+        recovered = UpdatablePolyFitIndex.recover(checkpoint, wal)
+        assert np.array_equal(
+            recovered.estimate_batch(lows, highs), writer.estimate_batch(lows, highs)
+        )
+        assert np.array_equal(
+            recovered.exact_batch(lows, highs), writer.exact_batch(lows, highs)
+        )
+        recovered.close()
 
     def test_fresh_wal_refuses_existing_records(self, tmp_path):
         keys, measures = _records(64)
