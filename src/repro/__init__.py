@@ -80,7 +80,6 @@ from .index import (
 )
 from .stream import (
     CompactionPolicy,
-    DeltaBuffer,
     UpdatablePolyFitIndex,
     UpdatablePolyFit2DIndex,
 )
@@ -158,7 +157,6 @@ __all__ = [
     "load_index",
     # streaming ingestion
     "CompactionPolicy",
-    "DeltaBuffer",
     "UpdatablePolyFitIndex",
     "UpdatablePolyFit2DIndex",
     # partitioned fleet

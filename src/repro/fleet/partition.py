@@ -302,7 +302,7 @@ class Partition:
             empty = np.empty(0, dtype=np.float64)
             return empty, (None if self._aggregate is Aggregate.COUNT else empty.copy())
         base_keys, base_values = self._index._function_arrays()  # noqa: SLF001 - fleet is a friend module
-        buffer_keys, buffer_measures = self._index._buffer.arrays()  # noqa: SLF001
+        buffer_keys, buffer_measures = self._index.buffer_columns()
         if self._aggregate is Aggregate.COUNT:
             counts = np.diff(base_values, prepend=0.0)
             keys = np.concatenate(

@@ -452,7 +452,7 @@ def _wal_counts_meta(index) -> dict | None:
     counts land atomically together, which makes checkpoint-then-crash
     recoverable no matter where the crash falls.
     """
-    wal = getattr(index, "_wal", None)
+    wal = index.wal
     if wal is None:
         return None
     return {"inserts": wal.insert_records, "compactions": wal.compaction_records}
@@ -487,15 +487,13 @@ def _updatable1d_from_store(meta: dict, arrays: dict[str, np.ndarray]):
     from ..stream.updatable import UpdatablePolyFitIndex
 
     base = _index1d_from_store(meta["base"], arrays)
-    index = UpdatablePolyFitIndex._restore(  # noqa: SLF001 - codec is a friend module
+    return UpdatablePolyFitIndex._restore(  # noqa: SLF001 - codec is a friend module
         base,
         CompactionPolicy.from_payload(meta["policy"]),
-        arrays["delta_keys"],
-        arrays["delta_measures"],
+        (arrays["delta_keys"], arrays["delta_measures"]),
         epoch=int(meta["epoch"]),
+        wal_counts=meta.get("wal_counts"),
     )
-    index._restored_wal_counts = meta.get("wal_counts")  # noqa: SLF001
-    return index
 
 
 # --------------------------------------------------------------------- #
@@ -514,7 +512,7 @@ def _updatable2d_to_store(index) -> tuple[dict, dict[str, np.ndarray]]:
 
     base_meta, arrays = _index2d_to_store(index.base)
     arrays = dict(arrays)
-    xs, ys, ws = index._buffer_arrays()  # noqa: SLF001 - codec is a friend module
+    xs, ys, ws = index.buffer_columns()
     arrays["delta_xs"] = xs
     arrays["delta_ys"] = ys
     if index.aggregate is _Aggregate.SUM:
@@ -537,16 +535,13 @@ def _updatable2d_from_store(meta: dict, arrays: dict[str, np.ndarray]):
     from ..stream.updatable2d import UpdatablePolyFit2DIndex
 
     base = _index2d_from_store(meta["base"], arrays)
-    index = UpdatablePolyFit2DIndex._restore(  # noqa: SLF001 - codec is a friend module
+    return UpdatablePolyFit2DIndex._restore(  # noqa: SLF001 - codec is a friend module
         base,
         CompactionPolicy.from_payload(meta["policy"]),
-        arrays["delta_xs"],
-        arrays["delta_ys"],
-        arrays.get("delta_ws"),
+        (arrays["delta_xs"], arrays["delta_ys"], arrays.get("delta_ws")),
         epoch=int(meta["epoch"]),
+        wal_counts=meta.get("wal_counts"),
     )
-    index._restored_wal_counts = meta.get("wal_counts")  # noqa: SLF001
-    return index
 
 
 # --------------------------------------------------------------------- #

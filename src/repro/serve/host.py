@@ -329,10 +329,14 @@ class EngineHost:
     # Write path (loop thread)
     # ------------------------------------------------------------------ #
 
-    def insert(self, keys: np.ndarray, measures: np.ndarray | None = None) -> int:
-        """Insert records into an updatable index (loop-thread only)."""
+    def insert(self, *columns: np.ndarray, measures: np.ndarray | None = None) -> int:
+        """Insert records into an updatable index (loop-thread only).
+
+        ``columns`` are the index's coordinate columns: ``keys`` for a 1-D
+        host, ``xs, ys`` for a 2-D one.
+        """
         self._require_updatable("insert")
-        return int(self._index.insert(keys, measures))  # type: ignore[attr-defined]
+        return int(self._index.insert(*columns, measures=measures))  # type: ignore[attr-defined]
 
     def compact(self) -> bool:
         """Fold the delta buffer into the base (loop-thread only).

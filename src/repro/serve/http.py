@@ -36,6 +36,9 @@ Routes
 ``POST /insert`` / ``POST /compact``
     Write endpoints for updatable indexes (404 on immutable hosts would be
     wrong — they return 400 with the library's NotSupported message).
+    ``/insert`` takes ``{"keys": [..]}`` on a 1-D host and
+    ``{"xs": [..], "ys": [..]}`` on a 2-D one, each with optional
+    ``"measures"``; a missing or foreign column is a 400.
 
 Status codes: 400 malformed request, 404 unknown route/index, 503 admission
 control / shutdown / expired deadline, 500 engine fault.  A query answered
@@ -171,6 +174,30 @@ def _batch_bounds(payload: dict, dims: int) -> tuple[np.ndarray, ...]:
     if len(sizes) != 1 or columns[0].ndim != 1 or columns[0].size == 0:
         raise QueryError("bound arrays must be equal-length non-empty lists")
     return columns
+
+
+def _insert_columns(
+    payload: dict, dims: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+    """Extract an insert's coordinate columns and optional measures."""
+    names = ("keys",) if dims == 1 else ("xs", "ys")
+    usage = (
+        "insert needs {" + ", ".join(f'"{name}": [..]' for name in names)
+        + '} (optional "measures")'
+    )
+    for name in ("keys", "xs", "ys"):
+        if name in payload and name not in names:
+            raise QueryError(f"a {dims}-D index takes no {name!r} column; {usage}")
+    columns = [payload.get(name) for name in names]
+    if not all(isinstance(column, list) and column for column in columns):
+        raise QueryError(usage)
+    measures = payload.get("measures")
+    try:
+        arrays = tuple(np.asarray(column, dtype=np.float64) for column in columns)
+        measure_array = None if measures is None else np.asarray(measures, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise QueryError("insert columns and measures must be lists of numbers") from None
+    return arrays, measure_array
 
 
 def _answer_payload(answer: ServedAnswer) -> dict:
@@ -575,18 +602,8 @@ class ServeServer:
         return (206 if partial else 200), body
 
     def _handle_insert(self, host: EngineHost, payload: dict) -> tuple[int, dict]:
-        keys = payload.get("keys")
-        if not isinstance(keys, list) or not keys:
-            raise QueryError('insert needs {"keys": [..]} (optional "measures")')
-        measures = payload.get("measures")
-        try:
-            key_array = np.asarray(keys, dtype=np.float64)
-            measure_array = (
-                None if measures is None else np.asarray(measures, dtype=np.float64)
-            )
-        except (TypeError, ValueError):
-            raise QueryError("keys and measures must be lists of numbers") from None
-        inserted = host.insert(key_array, measure_array)
+        columns, measures = _insert_columns(payload, host.dims)
+        inserted = host.insert(*columns, measures=measures)
         return 200, {
             "inserted": inserted,
             "epoch": int(getattr(host.index, "epoch", 0)),

@@ -5,8 +5,13 @@ mutation lifecycle — inserts, flush epochs, snapshots and compaction:
 
 * :class:`~repro.stream.policy.CompactionPolicy` — when the buffer folds
   into the base (record cap, base-fraction cap, auto/manual).
-* :class:`~repro.stream.buffer.DeltaBuffer` — arrival-order record buffer
-  with a cached sorted snapshot per flush epoch.
+* :class:`~repro.stream.updatable.MutableIndexCore` — the one write path
+  both updatable indexes share: epoch and version counters, an
+  arrival-order delta buffer, WAL append and replay, checkpoint, recovery,
+  policy-triggered compaction and the cached snapshot overlay.  A dimension
+  plugs in four hooks: fold base plus buffer into a new base, build the
+  overlay's exact delta snapshot, log a chunk, and report the base size the
+  policy reads.
 * :class:`~repro.stream.updatable.UpdatablePolyFitIndex` — the one-key
   updatable index: exact delta contributions preserve the certified error
   bounds, and compaction re-segments only the tail from the last unaffected
@@ -21,7 +26,6 @@ mutation lifecycle — inserts, flush epochs, snapshots and compaction:
   log tails truncated at the last valid frame (see ``docs/FORMATS.md``).
 """
 
-from .buffer import DeltaBuffer
 from .policy import CompactionPolicy
 from .updatable import UpdatablePolyFitIndex
 from .updatable2d import UpdatablePolyFit2DIndex
@@ -29,7 +33,6 @@ from .wal import WalRecord, WalScan, WriteAheadLog, scan_wal
 
 __all__ = [
     "CompactionPolicy",
-    "DeltaBuffer",
     "UpdatablePolyFitIndex",
     "UpdatablePolyFit2DIndex",
     "WalRecord",

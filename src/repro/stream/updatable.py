@@ -1,21 +1,28 @@
-"""The one-key updatable PolyFit index: delta buffer + tail re-segmentation.
+"""The updatable PolyFit indexes: one mutable core, 1-D tail re-segmentation.
 
-:class:`UpdatablePolyFitIndex` is the system's first mutation lifecycle over
-the otherwise build-once PolyFit structures.  It wraps an immutable base
-:class:`~repro.index.polyfit1d.PolyFitIndex` with a sorted in-memory delta
-buffer and serves queries through a :class:`~repro.index.overlay.
-DirectoryOverlay`: the base directory's certified estimate plus the buffer's
-*exact* contribution, so every error guarantee of the static index survives
-a non-empty buffer unchanged.
+:class:`MutableIndexCore` is the system's one mutation lifecycle over the
+otherwise build-once PolyFit structures, shared by the 1-D
+:class:`UpdatablePolyFitIndex` and the 2-D
+:class:`~repro.stream.updatable2d.UpdatablePolyFit2DIndex`.  It wraps an
+immutable base index with an arrival-order delta buffer and serves queries
+through a :class:`~repro.index.overlay.DirectoryOverlay`: the base
+directory's certified estimate plus the buffer's *exact* contribution, so
+every error guarantee of the static index survives a non-empty buffer
+unchanged.  The core owns the epoch and version counters, the buffer, the
+write-ahead log (log first, apply second; replay on ``recover``),
+checkpoints, policy-triggered compaction and the cached snapshot; a
+dimension supplies the fold of base plus buffer into a new base, the
+overlay's delta snapshot, the WAL record of a chunk and the base size the
+policy reads.
 
-Compaction folds the buffer into the base.  The invariant it maintains is
-strong: **post-compaction segment boundaries are identical to a from-scratch
-Greedy Segmentation of the merged target function** — for *any* workload,
-not just append-only ones.  That follows from GS being a deterministic
-left-to-right greedy (Theorem 1): a base segment whose closing witness
-sample precedes the first merged sample that changed would be re-derived
-verbatim by a from-scratch build, so only the suffix from the last
-unaffected boundary needs re-segmentation:
+1-D compaction folds the buffer into the base.  The invariant it maintains
+is strong: **post-compaction segment boundaries are identical to a
+from-scratch Greedy Segmentation of the merged target function** — for
+*any* workload, not just append-only ones.  That follows from GS being a
+deterministic left-to-right greedy (Theorem 1): a base segment whose
+closing witness sample precedes the first merged sample that changed would
+be re-derived verbatim by a from-scratch build, so only the suffix from the
+last unaffected boundary needs re-segmentation:
 
 * **append-only** (all inserted keys above the base key span) — only the
   open last segment is re-examined.  For degree 1 the index keeps the
@@ -41,23 +48,22 @@ from pathlib import Path
 import numpy as np
 
 from ..config import Aggregate, IndexConfig
-from ..errors import GuaranteeNotSatisfiedError, SerializationError
+from ..errors import DataError, SerializationError
 from ..fitting.incremental import CorridorScanner, fit_incremental_polynomial
 from ..fitting.segmentation import Segment, greedy_segmentation
-from ..index.overlay import DirectoryOverlay
+from ..index.overlay import DeltaSnapshot, DirectoryOverlay
 from ..index.polyfit1d import PolyFitIndex
 from ..queries.batch import SnapshotReads
-from ..queries.types import Guarantee, RangeQuery
+from ..queries.types import Guarantee
 from ..obs.metrics import SIZE_BUCKETS, counter_family, histogram_family
-from .buffer import DeltaBuffer
 from .policy import CompactionPolicy
-from .wal import RT_COMPACT, RT_INSERT1D, RT_INSERT2D, RT_SEAL, WriteAheadLog
+from .wal import RT_COMPACT, RT_INSERT1D, RT_SEAL, WriteAheadLog
 
-__all__ = ["IngestMetrics", "UpdatablePolyFitIndex"]
+__all__ = ["IngestMetrics", "MutableIndexCore", "UpdatablePolyFitIndex"]
 
 
 class IngestMetrics:
-    """Compaction instruments shared by the 1-D and 2-D updatable indexes.
+    """Compaction instruments of an updatable index.
 
     Compaction is the ingest path's stop-the-world pause, so both its
     duration and the buffer fill that triggered it are histogram-tracked;
@@ -82,99 +88,25 @@ class IngestMetrics:
         return [self.compactions_total, self.compaction_seconds, self.trigger_buffer_size]
 
 
-def _open_fresh_wal(wal_path, *, sync_every: int, opener) -> WriteAheadLog:
-    """Attach a WAL to a *new* index: an existing non-empty log is refused.
+class MutableIndexCore(SnapshotReads):
+    """Insert, WAL, compaction, checkpoint and recovery over a static base.
 
-    Constructing a fresh index over a log that already holds acknowledged
-    records would silently fork history — those records exist durably but
-    not in memory.  The reopen path is ``recover()``, which replays first.
+    A subclass sets ``dims``, ``_static_type`` (the base index class) and
+    ``_wal_insert_kind`` (its WAL insert record type) and implements the
+    hooks :meth:`_fold`, :meth:`_delta_snapshot`, :meth:`_log_chunk` and
+    :meth:`_base_size`.  Buffered chunks are tuples of columns: the
+    ``dims`` coordinate columns, then the measures (unit for COUNT).  Reads
+    go through :class:`~repro.queries.batch.SnapshotReads`: every call
+    answers from one frozen :meth:`snapshot` overlay, so concurrent shard
+    workers always serve one consistent epoch.
     """
-    wal = WriteAheadLog(wal_path, sync_every=sync_every, opener=opener)
-    if wal.scanned_records:
-        wal.close()
-        raise SerializationError(
-            f"WAL {wal_path} already holds {len(wal.scanned_records)} records; "
-            "use recover() to replay them instead of attaching a fresh index"
-        )
-    return wal
 
-
-def _replay_wal(index, wal: WriteAheadLog, *, two_dimensional: bool) -> int:
-    """Replay a scanned WAL over ``index``, skipping checkpointed records.
-
-    ``index._restored_wal_counts`` (stamped by the codec when loading a
-    checkpoint) says how many insert/compaction records the checkpoint
-    already subsumes; everything after that prefix re-runs the same
-    deterministic ``insert``/``compact`` code paths — with
-    ``index._replaying`` set so nothing is re-logged and auto-compaction
-    stays quiet (compactions replay exactly where their durable markers
-    are, not where the policy would fire mid-prefix).  Returns the number
-    of records applied.
-    """
-    counts = getattr(index, "_restored_wal_counts", None) or {}
-    skip_inserts = int(counts.get("inserts", 0))
-    skip_compactions = int(counts.get("compactions", 0))
-    insert_kinds = (RT_INSERT2D,) if two_dimensional else (RT_INSERT1D,)
-    seen_inserts = seen_compactions = applied = 0
-    index._replaying = True
-    try:
-        for record in wal.scanned_records:
-            if record.kind in insert_kinds:
-                seen_inserts += 1
-                if seen_inserts <= skip_inserts:
-                    continue
-                if two_dimensional:
-                    index.insert(record.keys, record.ys, record.measures)
-                else:
-                    index.insert(record.keys, record.measures)
-                applied += 1
-            elif record.kind == RT_COMPACT:
-                seen_compactions += 1
-                if seen_compactions <= skip_compactions:
-                    continue
-                index.compact()
-                if index.epoch != record.epoch:
-                    raise SerializationError(
-                        f"WAL replay of {wal.path} diverged: compaction record "
-                        f"says epoch {record.epoch}, replayed index is at "
-                        f"epoch {index.epoch} — checkpoint and log disagree"
-                    )
-                applied += 1
-            elif record.kind == RT_SEAL:
-                continue  # advisory: fsck cross-checks seals, replay does not
-            else:
-                raise SerializationError(
-                    f"WAL {wal.path} holds a 1-D/2-D record mismatching the "
-                    f"index being recovered (record type {record.kind})"
-                )
-    finally:
-        index._replaying = False
-    if seen_inserts < skip_inserts or seen_compactions < skip_compactions:
-        raise SerializationError(
-            f"checkpoint subsumes {skip_inserts} inserts / "
-            f"{skip_compactions} compactions but WAL {wal.path} holds only "
-            f"{seen_inserts} / {seen_compactions} — wrong log for this checkpoint"
-        )
-    index._wal = wal
-    index._restored_wal_counts = None
-    wal.metrics.recoveries_total.inc()
-    wal.metrics.replayed_records_total.inc(applied)
-    return applied
-
-
-class UpdatablePolyFitIndex(SnapshotReads):
-    """PolyFit index with an insert path: delta buffer, epochs, compaction.
-
-    Use :meth:`build` (records + guarantee/delta, like the static index) or
-    :meth:`wrap` (adopt an already-built static index).  Reads go through
-    :meth:`snapshot` — a frozen overlay per flush epoch, resolved once per
-    call by :class:`~repro.queries.batch.SnapshotReads` — so concurrent
-    shard workers always serve one consistent epoch.
-    """
+    _static_type: type
+    _wal_insert_kind: int
 
     def __init__(
         self,
-        base: PolyFitIndex,
+        base,
         policy: CompactionPolicy | None = None,
         *,
         wal_path: str | Path | None = None,
@@ -183,14 +115,11 @@ class UpdatablePolyFitIndex(SnapshotReads):
     ) -> None:
         self._base = base
         self._policy = policy or CompactionPolicy()
-        self._buffer = DeltaBuffer(base.aggregate)
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._size = 0
         self._epoch = 0
         self._version = 0
         self._overlay: DirectoryOverlay | None = None
-        # Corridor state of the open last segment (degree-1 append fast path).
-        self._scanner: CorridorScanner | None = None
-        self._scanner_start = -1
-        self._scanned_until = -1
         # Durability: acknowledged inserts/compactions go through the WAL
         # first; ``recover()`` replays them after a crash.
         self._wal: WriteAheadLog | None = None
@@ -198,53 +127,31 @@ class UpdatablePolyFitIndex(SnapshotReads):
         self._restored_wal_counts: dict | None = None
         self._obs = IngestMetrics()
         if wal_path is not None:
-            self._wal = _open_fresh_wal(
-                wal_path, sync_every=wal_sync_every, opener=wal_opener
-            )
+            wal = WriteAheadLog(wal_path, sync_every=wal_sync_every, opener=wal_opener)
+            if wal.scanned_records:
+                # Attaching a fresh index to a log that already holds
+                # acknowledged records would silently fork history.
+                wal.close()
+                raise SerializationError(
+                    f"WAL {wal_path} already holds {len(wal.scanned_records)} records; "
+                    "use recover() to replay them instead of attaching a fresh index"
+                )
+            self._wal = wal
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def build(
-        cls,
-        keys: np.ndarray,
-        measures: np.ndarray | None = None,
-        aggregate: Aggregate = Aggregate.COUNT,
-        *,
-        delta: float | None = None,
-        guarantee: Guarantee | None = None,
-        config: IndexConfig | None = None,
-        policy: CompactionPolicy | None = None,
-        wal_path: str | Path | None = None,
-        wal_sync_every: int = 1,
-        wal_opener=None,
-    ) -> "UpdatablePolyFitIndex":
-        """Build the base index from records and make it updatable."""
-        base = PolyFitIndex.build(
-            keys,
-            measures,
-            aggregate=aggregate,
-            delta=delta,
-            guarantee=guarantee,
-            config=config,
-        )
-        return cls(
-            base, policy=policy, wal_path=wal_path,
-            wal_sync_every=wal_sync_every, wal_opener=wal_opener,
-        )
-
-    @classmethod
     def wrap(
         cls,
-        index: PolyFitIndex,
+        index,
         policy: CompactionPolicy | None = None,
         *,
         wal_path: str | Path | None = None,
         wal_sync_every: int = 1,
         wal_opener=None,
-    ) -> "UpdatablePolyFitIndex":
+    ):
         """Adopt an already-built static index as the base."""
         return cls(
             index, policy=policy, wal_path=wal_path,
@@ -254,25 +161,27 @@ class UpdatablePolyFitIndex(SnapshotReads):
     @classmethod
     def _restore(
         cls,
-        base: PolyFitIndex,
+        base,
         policy: CompactionPolicy,
-        delta_keys: np.ndarray,
-        delta_measures: np.ndarray,
+        columns: tuple,
+        *,
         epoch: int,
-    ) -> "UpdatablePolyFitIndex":
-        """Codec entry point: rebuild with a persisted delta log and epoch.
+        wal_counts: dict | None = None,
+    ):
+        """Codec entry point: rebuild with a persisted buffer and epoch.
 
-        Bypasses auto-compaction so a loaded index reproduces the persisted
-        snapshot byte for byte (same buffer, same epoch) — what mmap'd shard
-        workers rely on for consistency.
+        ``columns`` is the persisted buffer in :meth:`buffer_columns` order
+        (measures may be ``None`` where the aggregate implies them).
+        Bypasses auto-compaction and the version counter so a loaded index
+        reproduces the persisted snapshot byte for byte (same buffer, same
+        epoch); ``wal_counts`` is the log position the checkpoint subsumes.
         """
         index = cls(base, policy=policy)
-        if np.asarray(delta_keys).size:
-            index._buffer.insert(
-                delta_keys,
-                None if base.aggregate is Aggregate.COUNT else delta_measures,
-            )
+        chunk = index._coerce(columns[:-1], columns[-1])
+        if chunk[0].size:
+            index._append(chunk)
         index._epoch = int(epoch)
+        index._restored_wal_counts = wal_counts
         return index
 
     # ------------------------------------------------------------------ #
@@ -280,7 +189,7 @@ class UpdatablePolyFitIndex(SnapshotReads):
     # ------------------------------------------------------------------ #
 
     @property
-    def base(self) -> PolyFitIndex:
+    def base(self):
         """The current immutable base index (replaced by compaction)."""
         return self._base
 
@@ -291,7 +200,7 @@ class UpdatablePolyFitIndex(SnapshotReads):
 
     @property
     def delta(self) -> float:
-        """Per-segment fitting budget of the base."""
+        """Fitting budget of the base."""
         return self._base.delta
 
     @property
@@ -322,121 +231,107 @@ class UpdatablePolyFitIndex(SnapshotReads):
     @property
     def buffer_size(self) -> int:
         """Number of records currently buffered."""
-        return len(self._buffer)
+        return self._size
 
-    @property
-    def num_segments(self) -> int:
-        """Segment count of the current base."""
-        return self._base.num_segments
-
-    @property
-    def segments(self) -> list[Segment]:
-        """Segments of the current base (read-only view)."""
-        return self._base.segments
-
-    @property
-    def config(self) -> IndexConfig:
-        """Configuration the base was built with (preserved by compaction)."""
-        return self._base.config
+    def buffer_columns(self) -> tuple[np.ndarray, ...]:
+        """Buffered records in arrival order: coordinate columns, then measures."""
+        if not self._chunks:
+            return tuple(np.empty(0, dtype=np.float64) for _ in range(self.dims + 1))
+        return tuple(np.concatenate(column) for column in zip(*self._chunks))
 
     def size_in_bytes(self) -> int:
-        """Base payload plus the raw buffered records.
+        """Base payload plus the raw buffered columns.
 
         Deliberately avoids :meth:`snapshot`: introspection must not build
-        the per-epoch sorted query payload as a side effect.  A snapshot's
-        own ``size_in_bytes`` additionally counts its prefix/extreme arrays.
+        the per-epoch query payload as a side effect.
         """
-        return self._base.size_in_bytes() + self._buffer.size_in_bytes()
+        return self._base.size_in_bytes() + 8 * (self.dims + 1) * self._size
 
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
 
-    def insert(self, keys: np.ndarray, measures: np.ndarray | None = None) -> int:
+    def insert(self, *columns: np.ndarray, measures: np.ndarray | None = None) -> int:
         """Buffer a chunk of records; compacts when the policy says so.
 
-        Returns the number of records inserted.  Keys may arrive in any
-        order and may duplicate existing keys; only the compaction cost
-        differs (append-only tails resume the corridor scanner, everything
-        else takes the bounded merge-rebuild).
+        ``insert(keys[, measures])`` on a 1-D index, ``insert(xs, ys[,
+        measures])`` on a 2-D one; returns the number of records inserted.
+        Records may arrive in any order and may duplicate existing ones.
 
         With a WAL attached, the chunk is validated, logged, and only then
         applied — so every record the log holds replays cleanly, and an
         insert this method acknowledged survives a crash (modulo the
         group-commit window, see :class:`~repro.stream.wal.WriteAheadLog`).
         """
+        if len(columns) == self.dims + 1 and measures is None:
+            *columns, measures = columns
+        if len(columns) != self.dims:
+            raise DataError(
+                f"a {self.dims}-D insert takes {self.dims} coordinate array(s) "
+                f"and optional measures, got {len(columns)} coordinate arrays"
+            )
+        chunk = self._coerce(columns, measures)
+        count = int(chunk[0].size)
+        if count == 0:
+            return 0
         if self._wal is not None and not self._replaying:
-            keys, measures = self._buffer.coerce(keys, measures)
-            if keys.size:
-                self._wal.append_insert(
-                    keys,
-                    None if self.aggregate is Aggregate.COUNT else measures,
-                )
-        count = self._buffer.insert(keys, measures)
-        if count:
-            self._overlay = None
-            self._version += 1
-            if (
-                not self._replaying
-                and self._policy.auto
-                and self._policy.should_compact(len(self._buffer), self._function_size())
-            ):
-                self.compact()
+            self._log_chunk(chunk)
+        self._append(chunk)
+        self._version += 1
+        if (
+            not self._replaying
+            and self._policy.auto
+            and self._policy.should_compact(self._size, self._base_size())
+        ):
+            self.compact()
         return count
 
-    def compact(self) -> bool:
-        """Fold the buffer into the base; returns whether anything changed.
+    def _coerce(self, coordinates, measures) -> tuple[np.ndarray, ...]:
+        """Validate and coerce an insert chunk without applying it.
 
-        The merged target function is re-accumulated only from the first
-        affected key onward, and re-segmentation starts at the last base
-        boundary whose closing witness precedes that key — so the resulting
-        boundaries are exactly those of a from-scratch Greedy Segmentation
-        over the merged function (see the module docstring for why).
-
-        The merged function itself is bit-identical to rebuilding from all
-        records for COUNT/MAX/MIN and for append-only SUM; out-of-order SUM
-        inserts reconstruct the base's per-key sums from cumulative
-        differences, which can differ from a raw rebuild by float ulps —
-        far below any meaningful ``delta``, and the boundary invariant
-        above always holds relative to the merged function.
+        Validation mirrors the build path: finite coordinates, COUNT forces
+        unit measures, SUM requires non-negative measures (the cumulative
+        function must stay monotone), MAX/MIN require measures.  Runs
+        *before* logging — a rejected chunk must never reach the log, or
+        replay would fail on it.
         """
-        if self._buffer.is_empty:
+        coordinates = tuple(
+            np.atleast_1d(np.asarray(column, dtype=np.float64)) for column in coordinates
+        )
+        first = coordinates[0]
+        if first.ndim != 1 or any(column.shape != first.shape for column in coordinates):
+            raise DataError("inserted coordinates must be equal-length 1-D arrays")
+        if first.size == 0:
+            return coordinates + (first,)
+        if not all(np.all(np.isfinite(column)) for column in coordinates):
+            raise DataError("inserted coordinates contain NaN or infinite values")
+        if self.aggregate is Aggregate.COUNT:
+            return coordinates + (np.ones_like(first),)
+        if measures is None:
+            raise DataError(f"{self.aggregate.value} inserts require measures")
+        measures = np.atleast_1d(np.asarray(measures, dtype=np.float64))
+        if measures.shape != first.shape:
+            raise DataError("inserted measures must match the coordinates")
+        if not np.all(np.isfinite(measures)):
+            raise DataError("inserted measures contain NaN or infinite values")
+        if self.aggregate is Aggregate.SUM and np.any(measures < 0):
+            raise DataError("SUM inserts require non-negative measures")
+        return coordinates + (measures,)
+
+    def _append(self, chunk: tuple[np.ndarray, ...]) -> None:
+        self._chunks.append(tuple(column.copy() for column in chunk))
+        self._size += chunk[0].size
+        self._overlay = None
+
+    def compact(self) -> bool:
+        """Fold the buffer into the base; returns whether anything changed."""
+        if self._size == 0:
             return False
         t0 = time.perf_counter()
-        self._obs.trigger_buffer_size.observe(len(self._buffer))
-        base_keys, base_values = self._function_arrays()
-        add_keys, add_measures = self._buffer.arrays()
-        merged_keys, merged_values = self._merge_function(
-            base_keys, base_values, add_keys, add_measures
-        )
-        old_n = base_keys.size
-        # First merged sample that differs from the base function; everything
-        # before it is bit-identical, so GS re-derives the same boundaries.
-        same = (merged_keys[:old_n] == base_keys) & (merged_values[:old_n] == base_values)
-        affected = int(old_n if bool(same.all()) else np.argmin(same))
-        if affected == old_n and merged_keys.size == old_n:
-            # Dominated duplicates (MAX/MIN) or zero-measure SUM inserts:
-            # the merged function equals the base; nothing to re-fit.
-            self._finish_epoch()
-            self._obs.compactions_total.inc()
-            self._obs.compaction_seconds.observe(time.perf_counter() - t0)
-            return True
-        segments = self._resegment(merged_keys, merged_values, affected, old_n)
-        self._base = PolyFitIndex.from_segments(
-            self.aggregate,
-            self._base.delta,
-            segments,
-            merged_keys,
-            merged_values,
-            self._base.config,
-        )
-        self._finish_epoch()
-        self._obs.compactions_total.inc()
-        self._obs.compaction_seconds.observe(time.perf_counter() - t0)
-        return True
-
-    def _finish_epoch(self) -> None:
-        self._buffer.clear()
+        self._obs.trigger_buffer_size.observe(self._size)
+        self._base = self._fold(*self.buffer_columns())
+        self._chunks.clear()
+        self._size = 0
         self._overlay = None
         self._epoch += 1
         self._version += 1
@@ -445,6 +340,29 @@ class UpdatablePolyFitIndex(SnapshotReads):
             # replays the buffered inserts over the old base instead — the
             # exact answers are identical, the compaction just re-runs later.
             self._wal.append_compaction(self._epoch)
+        self._obs.compactions_total.inc()
+        self._obs.compaction_seconds.observe(time.perf_counter() - t0)
+        return True
+
+    # ------------------------------------------------------------------ #
+    # Dimension hooks
+    # ------------------------------------------------------------------ #
+
+    def _fold(self, *columns: np.ndarray):
+        """New base over the current base plus the buffered ``columns``."""
+        raise NotImplementedError
+
+    def _delta_snapshot(self, *columns: np.ndarray):
+        """Frozen exact view of the buffered ``columns`` for the overlay."""
+        raise NotImplementedError
+
+    def _log_chunk(self, chunk: tuple[np.ndarray, ...]) -> None:
+        """Append one coerced chunk to the attached WAL."""
+        raise NotImplementedError
+
+    def _base_size(self) -> int:
+        """Size of the base the compaction policy's fraction cap reads."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -481,7 +399,7 @@ class UpdatablePolyFitIndex(SnapshotReads):
         path = Path(path)
         save_index(self, path)
         if self._wal is not None:
-            self._wal.append_seal(epoch=self._epoch, buffer_size=self.buffer_size)
+            self._wal.append_seal(epoch=self._epoch, buffer_size=self._size)
         return path
 
     @classmethod
@@ -494,14 +412,13 @@ class UpdatablePolyFitIndex(SnapshotReads):
         wal_sync_every: int = 1,
         wal_opener=None,
         verify: bool = False,
-    ) -> "UpdatablePolyFitIndex":
+    ):
         """Rebuild the pre-crash state: checkpoint (or base) + WAL replay.
 
-        ``checkpoint`` is a codec file path, an already-loaded
-        :class:`UpdatablePolyFitIndex`, or a bare
-        :class:`~repro.index.polyfit1d.PolyFitIndex` (no checkpoint — the
-        whole log replays).  Opening the WAL truncates a torn tail at the
-        last valid frame; mid-file corruption raises
+        ``checkpoint`` is a codec file path, an already-loaded index of this
+        class, or a bare static base index (no checkpoint — the whole log
+        replays).  Opening the WAL truncates a torn tail at the last valid
+        frame; mid-file corruption raises
         :class:`~repro.errors.SerializationError`.  The replayed state is
         bit-identical to the crashed process at its last durable record,
         and the returned index keeps appending to the same log.
@@ -514,15 +431,72 @@ class UpdatablePolyFitIndex(SnapshotReads):
             index = load_index(checkpoint, mmap=False, verify=verify)
         else:
             index = checkpoint
-        if isinstance(index, PolyFitIndex):
+        if isinstance(index, cls._static_type):
             index = cls(index, policy=policy)
         if not isinstance(index, cls):
             raise SerializationError(
-                f"cannot recover a 1-D updatable index from {type(index).__name__}"
+                f"cannot recover {cls.__name__} from {type(index).__name__}"
             )
-        wal = WriteAheadLog(wal_path, sync_every=wal_sync_every, opener=wal_opener)
-        _replay_wal(index, wal, two_dimensional=False)
+        index._replay(WriteAheadLog(wal_path, sync_every=wal_sync_every, opener=wal_opener))
         return index
+
+    def _replay(self, wal: WriteAheadLog) -> int:
+        """Replay a scanned WAL, skipping checkpointed records.
+
+        ``_restored_wal_counts`` (stamped by the codec when loading a
+        checkpoint) says how many insert/compaction records the checkpoint
+        already subsumes; everything after that prefix re-runs the same
+        deterministic ``insert``/``compact`` code paths — with
+        ``_replaying`` set so nothing is re-logged and auto-compaction stays
+        quiet (compactions replay exactly where their durable markers are,
+        not where the policy would fire mid-prefix).  Returns the number of
+        records applied.
+        """
+        counts = self._restored_wal_counts or {}
+        skip_inserts = int(counts.get("inserts", 0))
+        skip_compactions = int(counts.get("compactions", 0))
+        seen_inserts = seen_compactions = applied = 0
+        self._replaying = True
+        try:
+            for record in wal.scanned_records:
+                if record.kind == self._wal_insert_kind:
+                    seen_inserts += 1
+                    if seen_inserts <= skip_inserts:
+                        continue
+                    self.insert(*(record.keys, record.ys)[: self.dims], record.measures)
+                    applied += 1
+                elif record.kind == RT_COMPACT:
+                    seen_compactions += 1
+                    if seen_compactions <= skip_compactions:
+                        continue
+                    self.compact()
+                    if self._epoch != record.epoch:
+                        raise SerializationError(
+                            f"WAL replay of {wal.path} diverged: compaction record "
+                            f"says epoch {record.epoch}, replayed index is at "
+                            f"epoch {self._epoch} — checkpoint and log disagree"
+                        )
+                    applied += 1
+                elif record.kind == RT_SEAL:
+                    continue  # advisory: fsck cross-checks seals, replay does not
+                else:
+                    raise SerializationError(
+                        f"WAL {wal.path} holds a 1-D/2-D record mismatching the "
+                        f"index being recovered (record type {record.kind})"
+                    )
+        finally:
+            self._replaying = False
+        if seen_inserts < skip_inserts or seen_compactions < skip_compactions:
+            raise SerializationError(
+                f"checkpoint subsumes {skip_inserts} inserts / "
+                f"{skip_compactions} compactions but WAL {wal.path} holds only "
+                f"{seen_inserts} / {seen_compactions} — wrong log for this checkpoint"
+            )
+        self._wal = wal
+        self._restored_wal_counts = None
+        wal.metrics.recoveries_total.inc()
+        wal.metrics.replayed_records_total.inc(applied)
+        return applied
 
     # ------------------------------------------------------------------ #
     # Read path
@@ -532,16 +506,125 @@ class UpdatablePolyFitIndex(SnapshotReads):
         """Frozen overlay of the current epoch (cached until a mutation)."""
         if self._overlay is None:
             self._overlay = DirectoryOverlay(
-                self._base, self._buffer.snapshot(), epoch=self._epoch
+                self._base, self._delta_snapshot(*self.buffer_columns()), epoch=self._epoch
             )
         return self._overlay
+
+
+class UpdatablePolyFitIndex(MutableIndexCore):
+    """PolyFit index with an insert path: delta buffer, epochs, compaction.
+
+    Use :meth:`build` (records + guarantee/delta, like the static index) or
+    :meth:`wrap` (adopt an already-built static index).
+    """
+
+    _static_type = PolyFitIndex
+    _wal_insert_kind = RT_INSERT1D
+    # Corridor state of the open last segment (degree-1 append fast path).
+    _scanner: CorridorScanner | None = None
+    _scanner_start = -1
+    _scanned_until = -1
+
+    @classmethod
+    def build(
+        cls,
+        keys: np.ndarray,
+        measures: np.ndarray | None = None,
+        aggregate: Aggregate = Aggregate.COUNT,
+        *,
+        delta: float | None = None,
+        guarantee: Guarantee | None = None,
+        config: IndexConfig | None = None,
+        policy: CompactionPolicy | None = None,
+        wal_path: str | Path | None = None,
+        wal_sync_every: int = 1,
+        wal_opener=None,
+    ) -> "UpdatablePolyFitIndex":
+        """Build the base index from records and make it updatable."""
+        base = PolyFitIndex.build(
+            keys,
+            measures,
+            aggregate=aggregate,
+            delta=delta,
+            guarantee=guarantee,
+            config=config,
+        )
+        return cls(
+            base, policy=policy, wal_path=wal_path,
+            wal_sync_every=wal_sync_every, wal_opener=wal_opener,
+        )
+
+    @property
+    def num_segments(self) -> int:
+        """Segment count of the current base."""
+        return self._base.num_segments
+
+    @property
+    def segments(self) -> list[Segment]:
+        """Segments of the current base (read-only view)."""
+        return self._base.segments
+
+    @property
+    def config(self) -> IndexConfig:
+        """Configuration the base was built with (preserved by compaction)."""
+        return self._base.config
+
+    # ------------------------------------------------------------------ #
+    # Dimension hooks
+    # ------------------------------------------------------------------ #
+
+    def _log_chunk(self, chunk: tuple[np.ndarray, ...]) -> None:
+        keys, measures = chunk
+        self._wal.append_insert(keys, None if self.aggregate is Aggregate.COUNT else measures)
+
+    def _delta_snapshot(self, keys: np.ndarray, measures: np.ndarray) -> DeltaSnapshot:
+        return DeltaSnapshot(keys, measures, self.aggregate)
+
+    def _base_size(self) -> int:
+        return int(self._function_arrays()[0].size)
+
+    def _fold(self, add_keys: np.ndarray, add_measures: np.ndarray) -> PolyFitIndex:
+        """Merge the buffer into the base function and re-segment the tail.
+
+        The merged target function is re-accumulated only from the first
+        affected key onward, and re-segmentation starts at the last base
+        boundary whose closing witness precedes that key — so the resulting
+        boundaries are exactly those of a from-scratch Greedy Segmentation
+        over the merged function (see the module docstring for why).
+
+        The merged function itself is bit-identical to rebuilding from all
+        records for COUNT/MAX/MIN and for append-only SUM; out-of-order SUM
+        inserts reconstruct the base's per-key sums from cumulative
+        differences, which can differ from a raw rebuild by float ulps —
+        far below any meaningful ``delta``, and the boundary invariant
+        above always holds relative to the merged function.
+        """
+        base_keys, base_values = self._function_arrays()
+        merged_keys, merged_values = self._merge_function(
+            base_keys, base_values, add_keys, add_measures
+        )
+        old_n = base_keys.size
+        # First merged sample that differs from the base function; everything
+        # before it is bit-identical, so GS re-derives the same boundaries.
+        same = (merged_keys[:old_n] == base_keys) & (merged_values[:old_n] == base_values)
+        affected = int(old_n if bool(same.all()) else np.argmin(same))
+        if affected == old_n and merged_keys.size == old_n:
+            # Dominated duplicates (MAX/MIN) or zero-measure SUM inserts:
+            # the merged function equals the base; nothing to re-fit.
+            return self._base
+        segments = self._resegment(merged_keys, merged_values, affected, old_n)
+        return PolyFitIndex.from_segments(
+            self.aggregate,
+            self._base.delta,
+            segments,
+            merged_keys,
+            merged_values,
+            self._base.config,
+        )
 
     # ------------------------------------------------------------------ #
     # Merge + re-segmentation internals
     # ------------------------------------------------------------------ #
-
-    def _function_size(self) -> int:
-        return int(self._function_arrays()[0].size)
 
     def _function_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self.aggregate.is_cumulative:
@@ -710,13 +793,3 @@ class UpdatablePolyFitIndex(SnapshotReads):
             polynomial=fit.polynomial,
             max_error=fit.max_error,
         )
-
-    def require_guarantee(self, query: RangeQuery, guarantee: Guarantee) -> float:
-        """Answer and raise if the guarantee cannot be certified."""
-        result = self.query(query, guarantee)
-        if not result.guaranteed:
-            raise GuaranteeNotSatisfiedError(
-                f"index certifies only +/-{self.certified_bound}, "
-                f"requested {guarantee.kind.value} eps={guarantee.epsilon}"
-            )
-        return result.value

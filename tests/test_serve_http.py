@@ -12,7 +12,15 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import Aggregate, CompactionPolicy, Guarantee, PolyFitIndex, UpdatablePolyFitIndex
+from repro import (
+    Aggregate,
+    CompactionPolicy,
+    Guarantee,
+    PolyFit2DIndex,
+    PolyFitIndex,
+    UpdatablePolyFit2DIndex,
+    UpdatablePolyFitIndex,
+)
 from repro.cli import build_parser, build_serve_server, main
 from repro.errors import QueryError
 from repro.queries.types import BatchQueryResult
@@ -231,6 +239,50 @@ class TestWritePath:
         assert compacted["epoch"] == before["epoch"] + 1
         assert settled["value"] == after["value"]
         assert settled["epoch"] == compacted["epoch"]
+
+    def test_insert_2d_takes_xs_and_ys(self):
+        rng = np.random.default_rng(41)
+        xs, ys = rng.uniform(0.0, 100.0, (2, 3000))
+        new_xs, new_ys = [10.5, 20.5, 30.5, 55.0], [70.5, 60.5, 50.5, 55.0]
+        bounds = {
+            "x_lows": [0.0, 5.0, 40.0, 50.0], "x_highs": [100.0, 35.0, 60.0, 60.0],
+            "y_lows": [0.0, 45.0, 0.0, 50.0], "y_highs": [100.0, 75.0, 40.0, 60.0],
+        }
+
+        def scenario(url):
+            inserted = request_json(url, "/insert", {"xs": new_xs, "ys": new_ys})
+            answer = request_json(
+                url, "/query_batch",
+                {**bounds, "guarantee": {"kind": "relative", "epsilon": 1e-9}},
+            )
+            errors = []
+            for body in (
+                {"keys": new_xs},  # a 1-D column on a 2-D host
+                {"xs": new_xs},  # ys missing
+                {"keys": new_xs, "xs": new_xs, "ys": new_ys},  # a foreign extra
+            ):
+                with pytest.raises(QueryError) as error:
+                    request_json(url, "/insert", body)
+                errors.append(str(error.value))
+            return inserted, answer, errors
+
+        inserted, answer, errors = with_server(
+            lambda: EngineHost(
+                UpdatablePolyFit2DIndex.build(
+                    xs, ys, aggregate=Aggregate.COUNT, delta=500.0,
+                    policy=CompactionPolicy(auto=False),
+                )
+            ),
+            scenario,
+        )
+        assert inserted["inserted"] == 4 and inserted["buffer_size"] == 4
+        oracle = PolyFit2DIndex.build(
+            np.concatenate((xs, new_xs)), np.concatenate((ys, new_ys)),
+            aggregate=Aggregate.COUNT, delta=500.0,
+        )
+        expected = oracle.exact_batch(*(np.array(bounds[name]) for name in bounds))
+        assert answer["values"] == expected.tolist()
+        assert all("400" in error for error in errors), errors
 
     def test_stop_closes_the_wal(self, keys, tmp_path):
         wal_path = tmp_path / "stop.wal"

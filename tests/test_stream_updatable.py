@@ -36,7 +36,6 @@ from repro.fitting.segmentation import greedy_segmentation
 from repro.queries.engine import QueryEngine
 from repro.queries.sharding import ShardedQueryEngine
 from repro.queries.workloads import generate_range_queries
-from repro.stream.buffer import DeltaBuffer
 
 
 def _boundaries(segments):
@@ -62,46 +61,58 @@ def _bounds(rng, span, n):
     return lows, highs
 
 
+def _buffered(aggregate, keys, measures=None):
+    """An updatable index over a tiny base whose buffer holds ``keys``."""
+    base_keys = np.array([100.0, 101.0, 102.0])
+    index = UpdatablePolyFitIndex.build(
+        base_keys,
+        None if aggregate is Aggregate.COUNT else np.ones(3),
+        aggregate=aggregate,
+        delta=10.0,
+        policy=CompactionPolicy(auto=False),
+    )
+    index.insert(keys, measures)
+    return index
+
+
 class TestDeltaBuffer:
+    """The index's delta buffer, driven through ``insert``/``snapshot()``."""
+
     def test_count_forces_unit_measures(self):
-        buffer = DeltaBuffer(Aggregate.COUNT)
-        buffer.insert([1.0, 2.0], measures=[7.0, 7.0])
-        snapshot = buffer.snapshot()
-        assert np.array_equal(snapshot.measures, [1.0, 1.0])
+        index = _buffered(Aggregate.COUNT, [1.0, 2.0], measures=[7.0, 7.0])
+        assert np.array_equal(index.snapshot().delta.measures, [1.0, 1.0])
 
     def test_sum_requires_nonnegative_measures(self):
-        buffer = DeltaBuffer(Aggregate.SUM)
+        index = _buffered(Aggregate.SUM, [], [])
         with pytest.raises(DataError):
-            buffer.insert([1.0], measures=[-2.0])
+            index.insert([1.0], measures=[-2.0])
+        assert index.buffer_size == 0
 
     def test_extremes_require_measures(self):
-        buffer = DeltaBuffer(Aggregate.MAX)
+        index = _buffered(Aggregate.MAX, [], [])
         with pytest.raises(DataError):
-            buffer.insert([1.0])
+            index.insert([1.0])
 
     def test_rejects_non_finite(self):
-        buffer = DeltaBuffer(Aggregate.COUNT)
+        index = _buffered(Aggregate.COUNT, [])
         with pytest.raises(DataError):
-            buffer.insert([np.nan])
+            index.insert([np.nan])
 
     def test_empty_insert_is_noop(self):
-        buffer = DeltaBuffer(Aggregate.COUNT)
-        assert buffer.insert(np.array([])) == 0
-        assert buffer.is_empty
+        index = _buffered(Aggregate.COUNT, [])
+        assert index.insert(np.array([])) == 0
+        assert index.buffer_size == 0 and index.version == 0
 
     def test_snapshot_cached_until_mutation(self):
-        buffer = DeltaBuffer(Aggregate.COUNT)
-        buffer.insert([3.0, 1.0])
-        first = buffer.snapshot()
-        assert buffer.snapshot() is first
-        assert np.array_equal(first.keys, [1.0, 3.0])
-        buffer.insert([2.0])
-        assert buffer.snapshot() is not first
+        index = _buffered(Aggregate.COUNT, [3.0, 1.0])
+        first = index.snapshot()
+        assert index.snapshot() is first
+        assert np.array_equal(first.delta.keys, [1.0, 3.0])
+        index.insert([2.0])
+        assert index.snapshot() is not first
 
     def test_contribution_inclusive_bounds(self):
-        buffer = DeltaBuffer(Aggregate.COUNT)
-        buffer.insert([1.0, 2.0, 2.0, 3.0])
-        snapshot = buffer.snapshot()
+        snapshot = _buffered(Aggregate.COUNT, [1.0, 2.0, 2.0, 3.0]).snapshot().delta
         assert snapshot.contribution_batch([2.0], [2.0])[0] == 2.0
         assert snapshot.contribution_batch([1.0], [3.0])[0] == 4.0
         assert snapshot.contribution_batch([3.5], [4.0])[0] == 0.0

@@ -52,11 +52,11 @@ def _build(aggregate, keys, measures, **kwargs):
     )
 
 
-def _probe(index, lows=None, highs=None):
-    if lows is None:
-        lows = np.array([0.0, 100.0, 400.0, 900.0, -np.inf])
-        highs = np.array([1500.0, 350.0, 650.0, 950.0, np.inf])
-    return index.exact_batch(lows, highs), index.estimate_batch(lows, highs)
+def _probe(index):
+    lows = np.array([0.0, 100.0, 400.0, 900.0, -np.inf])
+    highs = np.array([1500.0, 350.0, 650.0, 950.0, np.inf])
+    bounds = (lows, highs) if index.dims == 1 else (lows / 10, highs / 10) * 2
+    return index.exact_batch(*bounds), index.estimate_batch(*bounds)
 
 
 def _same_answers(left, right):
@@ -285,69 +285,105 @@ class TestReplayBitIdentity:
             UpdatablePolyFitIndex.recover(checkpoint, other)
 
 
-def _ingest_with_budget(tmp_path, aggregate, budget):
+# Crash sweeps run the same ingest through both dimensions: ``dims`` picks
+# 1-D keys in [0, 1000] or 2-D points in [0, 100]^2.
+SWEEP_CASES = [
+    pytest.param(1, Aggregate.COUNT, id="count"),
+    pytest.param(1, Aggregate.SUM, id="sum"),
+    pytest.param(2, Aggregate.COUNT, id="2d-count"),
+    pytest.param(2, Aggregate.SUM, id="2d-sum"),
+]
+
+
+def _sweep_records(dims, n, seed):
+    """``(coordinate columns, measures)`` for ``n`` records."""
+    keys, measures = _records(n, seed=seed)
+    if dims == 1:
+        return (keys,), measures
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 100.0, n)), measures
+
+
+def _sweep_build(dims, aggregate, columns, measures, stop, **kwargs):
+    """An updatable index over the first ``stop`` records."""
+    coordinates = [column[:stop] for column in columns]
+    if dims == 1:
+        return _build(aggregate, *coordinates, measures[:stop], **kwargs)
+    return UpdatablePolyFit2DIndex.build(
+        *coordinates,
+        None if aggregate is Aggregate.COUNT else measures[:stop],
+        aggregate=aggregate,
+        delta=500.0,
+        grid_resolution=16,
+        **kwargs,
+    )
+
+
+def _sweep_batch(aggregate, columns, measures, start, stop):
+    """Insert arguments for records ``[start, stop)``."""
+    batch = [column[start:stop] for column in columns]
+    batch.append(None if aggregate is Aggregate.COUNT else measures[start:stop])
+    return batch
+
+
+def _ingest_with_budget(tmp_path, dims, aggregate, budget):
     """One WAL'd ingest run killed after ``budget`` log bytes.
 
-    Returns ``(acked, wal_path, base_keys, base_measures)`` where ``acked``
-    is the list of (keys, measures) batches whose insert() returned.
+    Returns ``(acked, crashed, wal_path, base)`` where ``acked`` lists the
+    insert arguments of every batch whose insert() returned and ``base`` is
+    a fresh updatable index over the pre-ingest records.
     """
-    keys, measures = _records(160, seed=11)
+    columns, measures = _sweep_records(dims, 160, seed=11)
     wal = tmp_path / f"crash-{budget}.wal"
-    index = _build(
-        aggregate, keys[:80], measures[:80],
+    index = _sweep_build(
+        dims, aggregate, columns, measures, 80,
         wal_path=wal,
         wal_opener=lambda p, mode: FaultyFile(p, mode=mode, fail_after=budget),
     )
     acked = []
     try:
         for start in range(80, 160, 16):
-            batch_keys = keys[start:start + 16]
-            batch_measures = (
-                None if aggregate is Aggregate.COUNT else measures[start:start + 16]
-            )
-            index.insert(batch_keys, batch_measures)
-            acked.append((batch_keys, batch_measures))
+            batch = _sweep_batch(aggregate, columns, measures, start, start + 16)
+            index.insert(*batch)
+            acked.append(batch)
         crashed = False
     except CrashPoint:
         crashed = True
-    return acked, crashed, wal, keys[:80], measures[:80]
+    return acked, crashed, wal, _sweep_build(dims, aggregate, columns, measures, 80)
 
 
 class TestCrashPointSweep:
-    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM])
-    def test_recovery_at_every_injection_site(self, tmp_path, aggregate):
+    @pytest.mark.parametrize("dims, aggregate", SWEEP_CASES)
+    def test_recovery_at_every_injection_site(self, tmp_path, dims, aggregate):
         # Full run first to learn the log length, then kill at every offset
         # (stride keeps the sweep dense but affordable; offsets hit frame
         # headers, payload bytes and sync boundaries alike).
-        acked, crashed, wal, base_keys, base_measures = _ingest_with_budget(
-            tmp_path, aggregate, budget=10**9
-        )
+        acked, crashed, wal, _ = _ingest_with_budget(tmp_path, dims, aggregate, 10**9)
         assert not crashed
         total = wal.stat().st_size
         for budget in range(8, total, 7):
-            acked, crashed, wal, base_keys, base_measures = _ingest_with_budget(
-                tmp_path, aggregate, budget
+            acked, crashed, wal, base = _ingest_with_budget(
+                tmp_path, dims, aggregate, budget
             )
-            base = _build(aggregate, base_keys, base_measures)
-            recovered = UpdatablePolyFitIndex.recover(base.base, wal)
+            recovered = type(base).recover(base.base, wal)
             # Exactly the acknowledged batches must be present: the WAL
             # syncs before insert() returns, so an acked batch survives any
             # later crash, and the torn batch was never acked.
-            expected = _build(aggregate, base_keys, base_measures)
-            for batch_keys, batch_measures in acked:
-                expected.insert(batch_keys, batch_measures)
-            assert _same_answers(recovered, expected), (aggregate, budget)
+            for batch in acked:
+                base.insert(*batch)
+            assert _same_answers(recovered, base), (dims, aggregate, budget)
 
-    def test_truncation_sweep_recovers_a_prefix(self, tmp_path):
-        keys, measures = _records(96, seed=5)
+    @pytest.mark.parametrize("dims, aggregate", SWEEP_CASES)
+    def test_truncation_sweep_recovers_a_prefix(self, tmp_path, dims, aggregate):
+        columns, measures = _sweep_records(dims, 96, seed=5)
         wal = tmp_path / "trunc.wal"
-        index = _build(Aggregate.SUM, keys[:48], measures[:48], wal_path=wal)
-        prefixes = [_build(Aggregate.SUM, keys[:48], measures[:48])]
+        index = _sweep_build(dims, aggregate, columns, measures, 48, wal_path=wal)
+        prefixes = [_sweep_build(dims, aggregate, columns, measures, 48)]
         for start in range(48, 96, 12):
-            index.insert(keys[start:start + 12], measures[start:start + 12])
-            snapshot = _build(Aggregate.SUM, keys[:48], measures[:48])
+            index.insert(*_sweep_batch(aggregate, columns, measures, start, start + 12))
+            snapshot = _sweep_build(dims, aggregate, columns, measures, 48)
             for stop in range(60, start + 13, 12):
-                snapshot.insert(keys[stop - 12:stop], measures[stop - 12:stop])
+                snapshot.insert(*_sweep_batch(aggregate, columns, measures, stop - 12, stop))
             prefixes.append(snapshot)
         index.wal.close()
         total = wal.stat().st_size
@@ -355,8 +391,8 @@ class TestCrashPointSweep:
         for cut in range(0, total, 5):
             clone = tmp_path / "cut.wal"
             clone.write_bytes(wal.read_bytes()[:cut])
-            base = _build(Aggregate.SUM, keys[:48], measures[:48])
-            recovered = UpdatablePolyFitIndex.recover(base.base, clone)
+            base = _sweep_build(dims, aggregate, columns, measures, 48)
+            recovered = type(base).recover(base.base, clone)
             got = _probe(recovered)
             assert any(
                 np.array_equal(got[0], exact) and np.array_equal(got[1], approx)
