@@ -56,6 +56,11 @@
 #                       method the tracer wraps, or a per-layer metric that
 #                       stops being produced, fails here), and the answer
 #                       gate must trip on a perturbed answer (~1 min)
+#   make reproduce    - the paper reproduction itself: every figure, table
+#                       and ablation driver under benchmarks/ (pytest, ~1 min;
+#                       REPRO_BENCH_SCALE shrinks the datasets); not in CI
+#                       while bench_fig17_max.py's MAX latency assert is
+#                       unstable
 #   make docs-lint    - README/docs link + anchor checker, every
 #                       BENCH_*.json named in the docs must be emitted by a
 #                       benchmark (and vice versa), and every metric name
@@ -65,7 +70,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke perfbench-selftest bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability
+.PHONY: tier1 lint docs-lint smoke-batch fsck-smoke metrics-smoke perfbench-selftest reproduce bench-batch bench-shards bench-build bench-update bench-serve bench-fleet bench-durability
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -96,6 +101,9 @@ metrics-smoke:
 
 perfbench-selftest:
 	$(PYTHON) -m pytest perfbench/selftest.py -q
+
+reproduce:
+	$(PYTHON) -m pytest benchmarks/bench_fig*.py benchmarks/bench_table*.py benchmarks/bench_ablation*.py -q
 
 bench-batch:
 	$(PYTHON) benchmarks/bench_batch_throughput.py

@@ -15,7 +15,8 @@ so the comparison stays apples-to-apples, with their scalar pass measured on
 a capped subset to keep the driver fast.
 
 Gates: PolyFit batch >= 10x its scalar loop at 100k queries (1-D and
-2-D COUNT), and the vectorized 2-D extreme >= 20x its scalar oracle.
+2-D COUNT), and batch answers ``allclose`` to the scalar loop for every
+method.
 
 Run with ``python benchmarks/bench_batch_throughput.py`` (``make
 bench-batch``); it exits non-zero when a gate fails.
@@ -52,9 +53,6 @@ WORKLOAD_SIZES = [10_000, 100_000]
 #: at most this many queries (their per-query cost is workload-size
 #: independent).
 SCALAR_CAPS = {"S-tree": 2_000, "PolyFit-2D-COUNT": 4_000}
-#: The 2-D extreme scalar oracle intersects every leaf per query; cap it the
-#: same way.
-EXTREME_SCALAR_CAP = 2_000
 
 
 def _measure(
@@ -177,69 +175,12 @@ def run_benchmark_2d(
     return results
 
 
-def run_benchmark_2d_extreme(
-    xs: np.ndarray, ys: np.ndarray, workload_sizes=WORKLOAD_SIZES
-) -> dict:
-    """Rectangle MAX: pinned scalar oracle vs the vectorized extreme tree.
-
-    The scalar oracle intersects every leaf per query; the vectorized path
-    answers the whole batch through the dyadic x-rank decomposition in
-    O(log^2 n) NumPy passes.  MAX over a point subset is the same float
-    whatever the evaluation order, so the paths must agree *exactly*
-    (``array_equal`` with ``equal_nan`` — no tolerance).
-    """
-    rng = np.random.default_rng(271)
-    measures = rng.uniform(0.0, 100.0, xs.size)
-    index = PolyFit2DIndex.build(
-        xs, ys, guarantee=Guarantee.absolute(1000.0), grid_resolution=128
-    )
-    directory = index.directory
-    directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
-    results: dict = {
-        "description": "scalar vs vectorized rectangle MAX (two keys, exact)",
-        "dataset_size": int(xs.size),
-        "workloads": {},
-    }
-    for num_queries in workload_sizes:
-        queries = generate_rectangle_queries(xs, ys, num_queries, seed=137)
-        bounds = queries_to_bounds(queries)
-        cap = min(EXTREME_SCALAR_CAP, num_queries)
-        capped = tuple(bound[:cap] for bound in bounds)
-        # Both sides are best-of-repeats with a warmup pass: the scalar
-        # oracle's cold-cache first pass otherwise swings the measured ratio
-        # by 2x run to run, which is noise, not speedup.
-        scalar = time_batch_per_query_ns(
-            lambda: directory.range_extreme_batch(*capped, force_scalar=True),
-            cap, repeats=2, method="extreme-scalar",
-        )
-        vector = time_batch_per_query_ns(
-            lambda: directory.range_extreme_batch(*bounds),
-            num_queries, repeats=3, method="extreme-vectorized",
-        )
-        scalar_values = directory.range_extreme_batch(*capped, force_scalar=True)
-        vector_values = directory.range_extreme_batch(*bounds)
-        scalar_qps = 1e9 / scalar.per_query_ns
-        vector_qps = 1e9 / vector.per_query_ns
-        entry = {
-            "scalar_qps": round(scalar_qps),
-            "vectorized_qps": round(vector_qps),
-            "speedup": round(vector_qps / scalar_qps, 2),
-            "identical": bool(
-                np.array_equal(scalar_values, vector_values[:cap], equal_nan=True)
-            ),
-            "scalar_measured_on": cap,
-        }
-        results["workloads"][str(num_queries)] = entry
-    return results
-
-
-def check_gates(one_key: dict, two_key: dict, extreme: dict) -> list[str]:
+def check_gates(one_key: dict, two_key: dict) -> list[str]:
     """Acceptance gates; returns failure messages.
 
     Batch answers must agree with the scalar loop for every method, and
     PolyFit batch COUNT must run >= 10x over its scalar loop (1-D and 2-D)
-    at the largest workload.  Vectorized 2-D extremes must run >= 20x over
-    the scalar oracle there and equal it exactly on the oracle subsample.
+    at the largest workload.
     """
     failures = []
     largest = str(WORKLOAD_SIZES[-1])
@@ -251,13 +192,6 @@ def check_gates(one_key: dict, two_key: dict, extreme: dict) -> list[str]:
         speedup = section["methods"][name][largest]["speedup"]
         if speedup < 10.0:
             failures.append(f"{name} batch speedup {speedup}x below the 10x gate")
-    entry = extreme["workloads"][largest]
-    if not entry["identical"]:
-        failures.append("2-D extreme vectorized path diverges from the scalar oracle")
-    if entry["speedup"] < 20.0:
-        failures.append(
-            f"2-D extreme speedup {entry['speedup']}x below the 20x gate"
-        )
     return failures
 
 
@@ -285,40 +219,10 @@ def _print_results(results: dict, label: str = "Batch throughput") -> None:
         )
 
 
-def _print_extreme_results(extreme: dict) -> None:
-    rows = []
-    for size, entry in extreme["workloads"].items():
-        rows.append(
-            [
-                size,
-                entry["scalar_qps"],
-                entry["vectorized_qps"],
-                f"{entry['speedup']}x",
-                "yes" if entry["identical"] else "NO",
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["queries", "scalar q/s", "vectorized q/s", "speedup", "identical"],
-            rows,
-            title="Rectangle MAX: scalar oracle vs vectorized extreme tree",
-        )
-    )
-
-
-def _write_artifact(one_key: dict, two_key: dict, two_key_extreme: dict) -> None:
+def _write_artifact(one_key: dict, two_key: dict) -> None:
     ARTIFACT_PATH.parent.mkdir(exist_ok=True)
     ARTIFACT_PATH.write_text(
-        json.dumps(
-            {
-                **one_key,
-                "two_key": two_key,
-                "two_key_extreme": two_key_extreme,
-            },
-            indent=2,
-        )
-        + "\n"
+        json.dumps({**one_key, "two_key": two_key}, indent=2) + "\n"
     )
     print(f"\nartifact written to {ARTIFACT_PATH}")
 
@@ -334,10 +238,8 @@ if __name__ == "__main__":
     points_x, points_y = osm_points(80_000, seed=103)
     bench_results_2d = run_benchmark_2d(points_x, points_y)
     _print_results(bench_results_2d, label="Batch throughput (two keys)")
-    bench_results_extreme = run_benchmark_2d_extreme(points_x, points_y)
-    _print_extreme_results(bench_results_extreme)
-    _write_artifact(bench_results, bench_results_2d, bench_results_extreme)
-    gate_failures = check_gates(bench_results, bench_results_2d, bench_results_extreme)
+    _write_artifact(bench_results, bench_results_2d)
+    gate_failures = check_gates(bench_results, bench_results_2d)
     if gate_failures:
         for failure in gate_failures:
             print(f"GATE FAILED: {failure}", file=sys.stderr)

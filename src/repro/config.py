@@ -76,7 +76,8 @@ class FitConfig:
         degree <= 1 and the Remez exchange for degree >= 2, with the HiGHS LP
         as the automatic fallback and correctness oracle; ``"incremental"``
         forces the hull fitter (degree <= 1 only); ``"remez"`` forces the
-        exchange; ``"lp"`` forces the linear program of Eq. 9; ``"lstsq"``
+        exchange; ``"lp"`` forces the linear program of Eq. 9 (every
+        minimax solver interpolates ``degree + 1`` or fewer points); ``"lstsq"``
         uses least squares (no minimax optimality — used only for ablation
         benchmarks).
     rescale:

@@ -339,8 +339,10 @@ def fit_minimax_polynomial(
         fitter for degree <= 1 and the Remez exchange with LP fallback for
         degree >= 2), ``"incremental"`` (force the hull fitter; degree <= 1
         only), ``"remez"`` (force the exchange, still with LP fallback on
-        degeneracy), ``"lp"`` (always the HiGHS LP of Eq. 9), or ``"lstsq"``
-        (plain least squares; *not* minimax optimal — ablations only).
+        degeneracy), ``"lp"`` (the HiGHS LP of Eq. 9 whenever the points
+        outnumber the coefficients), or ``"lstsq"`` (plain least squares;
+        *not* minimax optimal — ablations only).  Every minimax solver
+        interpolates when ``len(keys) <= degree + 1``.
 
     Returns
     -------
@@ -372,7 +374,7 @@ def fit_minimax_polynomial(
     # it can interpolate them (near-)exactly.  Least squares is used instead
     # of an exact solve so nearly-coincident keys (singular Vandermonde
     # matrices) degrade gracefully instead of raising.
-    if solver in ("auto", "remez") and keys.size <= degree + 1:
+    if keys.size <= degree + 1:
         effective_degree = keys.size - 1
         design = _design_matrix_1d(keys, effective_degree, shift, scale)
         if keys.size > 1:

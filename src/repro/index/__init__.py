@@ -24,7 +24,6 @@
 from .directory import (
     CellDirectory,
     QuadDirectory,
-    QuadLeafExtremes,
     RangeExtremeTable,
     SegmentDirectory,
     SegmentExtremeDirectory,
@@ -47,7 +46,6 @@ __all__ = [
     "CellDirectory",
     "SegmentDirectory",
     "QuadDirectory",
-    "QuadLeafExtremes",
     "RangeExtremeTable",
     "SegmentExtremeDirectory",
     "delta_for_absolute",

@@ -61,8 +61,9 @@ BINARY_MAGIC = b"PFITBIN\x01"
 #: keeps each array cache-line aligned inside the mapping.
 _ALIGNMENT = 64
 
-#: v2 adds the optional 2-D point-extreme payload (``ext_*`` arrays plus the
-#: ``extreme_aggregate`` meta key).  v3 adds a ``crc32`` field per array-table
+#: v2 files may carry a legacy 2-D point-extreme payload (``ext_*`` arrays
+#: plus the ``extreme_aggregate`` meta key); the reader ignores it, so such a
+#: file loads as a plain 2-D index.  v3 adds a ``crc32`` field per array-table
 #: entry (verified behind the ``verify=`` knob), the ``updatable2d`` kind and
 #: the optional ``wal_counts`` checkpoint metadata.  Every addition is purely
 #: additive, so the reader accepts all three versions; v1/v2 entries simply
@@ -365,17 +366,6 @@ def _index2d_to_store(index: PolyFit2DIndex) -> tuple[dict, dict[str, np.ndarray
     if exact.weights is not None:
         arrays["weights"] = exact.weights
         arrays["weights_sorted_by_x"] = exact.weights_sorted_by_x
-    extremes = directory.point_extremes
-    if extremes is not None:
-        # The leaf-sorted point arrays are enough to rebuild the payload:
-        # attach_extremes re-runs the deterministic locate pass on load, and
-        # a stable sort of already-grouped points is the identity.
-        meta["extreme_aggregate"] = (
-            Aggregate.MAX.value if extremes.maximize else Aggregate.MIN.value
-        )
-        arrays["ext_xs"] = extremes.xs
-        arrays["ext_ys"] = extremes.ys
-        arrays["ext_measures"] = extremes.measures
     return meta, arrays
 
 
@@ -412,14 +402,6 @@ def _index2d_from_store(meta: dict, arrays: dict[str, np.ndarray]) -> PolyFit2DI
         grid_y=arrays["grid_y"],
         grid_cf=arrays["grid_cf"],
     )
-    extreme_aggregate = meta.get("extreme_aggregate")
-    if extreme_aggregate is not None:
-        directory.attach_extremes(
-            arrays["ext_xs"],
-            arrays["ext_ys"],
-            arrays["ext_measures"],
-            Aggregate(extreme_aggregate),
-        )
     config_payload = meta["config"]
     config = QuadTreeConfig(
         delta=float(config_payload["delta"]),

@@ -23,10 +23,6 @@ arrays (the representation threads and mmap can share):
 * :class:`SegmentExtremeDirectory` — per-segment prefix/suffix extreme
   arrays plus range-extreme tables that make the MAX/MIN batch path O(1)
   NumPy calls as well.
-* :class:`RectangleExtremeTree` — the 2-D analogue: a dyadic x-rank merge
-  structure whose levels carry y-sorted blocks with range-extreme tables,
-  answering N rectangle MAX/MIN queries in O(log^2 n) NumPy passes while
-  staying bit-identical to the scalar leaf-merge oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ __all__ = [
     "CellDirectory",
     "SegmentDirectory",
     "QuadDirectory",
-    "QuadLeafExtremes",
-    "RectangleExtremeTree",
     "SegmentExtremeDirectory",
     "RangeExtremeTable",
 ]
@@ -279,9 +273,6 @@ class QuadDirectory(CellDirectory):
         self.num_exact_samples = int(
             ((spans[:, 1] - spans[:, 0] + 1) * (spans[:, 3] - spans[:, 2] + 1)).sum()
         ) if spans.size else 0
-        # Optional rectangle MAX/MIN payload (attach_extremes), mirroring the
-        # 1-D directory's lazily attached extreme payload.
-        self.point_extremes: QuadLeafExtremes | None = None
 
     @classmethod
     def from_quadtree(
@@ -421,114 +412,6 @@ class QuadDirectory(CellDirectory):
             out[exact] = self.grid_cf[ii, jj]
         return out
 
-    def attach_extremes(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        measures: np.ndarray,
-        aggregate: Aggregate,
-    ) -> "QuadLeafExtremes":
-        """Build the rectangle MAX/MIN payload over a point set.
-
-        The 1-D :class:`SegmentExtremeDirectory` pattern lifted to the leaf
-        grid: every point is assigned to its covering leaf with one
-        vectorized :meth:`locate_batch` pass, the per-leaf extreme measures
-        become the stored payload (exact — the 2-D analogue of the 1-D
-        per-segment true extremes), and a CSR grouping of the points by leaf
-        row serves the partially covered boundary leaves.  Idempotent for
-        the same aggregate; re-attaching the opposite extremum is rejected.
-        """
-        if not aggregate.is_extremum:
-            raise QueryError("extreme payload applies to MAX/MIN only")
-        maximize = aggregate is Aggregate.MAX
-        if self.point_extremes is not None:
-            if self.point_extremes.maximize is not maximize:
-                raise QueryError(
-                    "directory already carries extremes for the opposite aggregate"
-                )
-            return self.point_extremes
-        rows = self.locate_batch(xs, ys)
-        self.point_extremes = QuadLeafExtremes(
-            xs=np.asarray(xs, dtype=np.float64),
-            ys=np.asarray(ys, dtype=np.float64),
-            measures=np.asarray(measures, dtype=np.float64),
-            rows=rows,
-            num_cells=len(self),
-            maximize=maximize,
-        )
-        return self.point_extremes
-
-    def range_extreme(
-        self, x_low: float, x_high: float, y_low: float, y_high: float
-    ) -> float:
-        """Exact rectangle MAX/MIN via the per-leaf extreme payload (scalar).
-
-        Leaves fully inside the query rectangle contribute their stored
-        extreme; partially covered boundary leaves scan only their own
-        points (CSR slice).  NaN for an empty rectangle, matching the 1-D
-        empty-range convention.  Requires :meth:`attach_extremes`.
-        """
-        if x_high < x_low or y_high < y_low:
-            raise QueryError("invalid rectangle bounds")
-        if self.point_extremes is None:
-            raise QueryError("call attach_extremes() before range_extreme()")
-        lows = self.lows
-        highs = self.highs
-        intersecting = (
-            (lows[:, 0] <= x_high)
-            & (highs[:, 0] >= x_low)
-            & (lows[:, 1] <= y_high)
-            & (highs[:, 1] >= y_low)
-        )
-        covered = (
-            intersecting
-            & (lows[:, 0] >= x_low)
-            & (highs[:, 0] <= x_high)
-            & (lows[:, 1] >= y_low)
-            & (highs[:, 1] <= y_high)
-        )
-        return self.point_extremes.merge(
-            covered, np.nonzero(intersecting & ~covered)[0], x_low, x_high, y_low, y_high
-        )
-
-    def range_extreme_batch(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-        *,
-        force_scalar: bool = False,
-    ) -> np.ndarray:
-        """Exact rectangle MAX/MIN for N rectangles — fully vectorized.
-
-        Answers through the payload's :class:`RectangleExtremeTree` (built
-        lazily on first call): a dyadic decomposition of each query's x-rank
-        window into <= 2 blocks per level, each resolved by one bisection
-        into the level's y-order and one range-extreme table gather, so the
-        whole batch runs in O(log^2 n) NumPy passes with no per-query loop.
-        MAX/MIN over the same point subset is the same float whatever the
-        cover, so answers are bit-identical to :meth:`range_extreme`
-        (including NaN for empty rectangles).  ``force_scalar=True`` keeps
-        the per-query oracle loop reachable for pinning tests and benches.
-        """
-        x_lows = np.atleast_1d(np.asarray(x_lows, dtype=np.float64))
-        x_highs = np.atleast_1d(np.asarray(x_highs, dtype=np.float64))
-        y_lows = np.atleast_1d(np.asarray(y_lows, dtype=np.float64))
-        y_highs = np.atleast_1d(np.asarray(y_highs, dtype=np.float64))
-        if not (x_lows.shape == x_highs.shape == y_lows.shape == y_highs.shape):
-            raise QueryError("rectangle bound arrays must have matching shapes")
-        if np.any(x_highs < x_lows) or np.any(y_highs < y_lows):
-            raise QueryError("invalid rectangle bounds")
-        if self.point_extremes is None:
-            raise QueryError("call attach_extremes() before range_extreme_batch()")
-        if force_scalar:
-            out = np.empty(x_lows.size, dtype=np.float64)
-            for i, bounds in enumerate(zip(x_lows, x_highs, y_lows, y_highs)):
-                out[i] = self.range_extreme(*bounds)
-            return out
-        return self.point_extremes.range_extreme_batch(x_lows, x_highs, y_lows, y_highs)
-
     def size_in_bytes(self) -> int:
         """Footprint of the flat directory (8 bytes per stored float).
 
@@ -545,351 +428,6 @@ class QuadDirectory(CellDirectory):
             + self.exact_ranges.nbytes
             + 3 * 8 * self.num_exact_samples
         )
-
-
-class QuadLeafExtremes:
-    """Per-leaf extreme payload for rectangle MAX/MIN over a 2-D point set.
-
-    Stores the exact extreme measure of every leaf plus a CSR grouping of
-    the points by leaf row (points sorted by leaf, one offsets array), so a
-    rectangle query resolves fully covered leaves from the stored extremes
-    and scans only the boundary leaves' own points — the leaf-grid analogue
-    of the 1-D interior-table + boundary-segment merge.
-    """
-
-    def __init__(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        measures: np.ndarray,
-        rows: np.ndarray,
-        num_cells: int,
-        maximize: bool,
-    ) -> None:
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        measures = np.ascontiguousarray(measures, dtype=np.float64)
-        if not (xs.ndim == 1 and xs.shape == ys.shape == measures.shape):
-            raise QueryError("points and measures must be equal-length 1-D arrays")
-        rows = np.asarray(rows, dtype=np.intp)
-        order = np.argsort(rows, kind="stable")
-        self.xs = xs[order]
-        self.ys = ys[order]
-        self.measures = measures[order]
-        self.offsets = np.zeros(num_cells + 1, dtype=np.intp)
-        counts = np.bincount(rows, minlength=num_cells)
-        np.cumsum(counts, out=self.offsets[1:])
-        self.maximize = bool(maximize)
-        fill = -np.inf if maximize else np.inf
-        self.leaf_extremes = np.full(num_cells, fill, dtype=np.float64)
-        if rows.size:
-            combine_at = np.maximum.at if maximize else np.minimum.at
-            combine_at(self.leaf_extremes, rows, measures)
-        self._fill = fill
-        self._tree: RectangleExtremeTree | None = None
-
-    def range_extreme_batch(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized rectangle extremes over the payload's point set.
-
-        Lazily builds the :class:`RectangleExtremeTree` (so scalar-only use
-        pays nothing) and reuses it across calls.
-        """
-        if self._tree is None:
-            self._tree = RectangleExtremeTree(
-                self.xs, self.ys, self.measures, self.maximize
-            )
-        return self._tree.query(x_lows, x_highs, y_lows, y_highs)
-
-    def merge(
-        self,
-        covered: np.ndarray,
-        partial_rows: np.ndarray,
-        x_low: float,
-        x_high: float,
-        y_low: float,
-        y_high: float,
-    ) -> float:
-        """Merge stored extremes of covered leaves with boundary-leaf scans."""
-        reduce = np.max if self.maximize else np.min
-        best = self._fill
-        occupied = covered & (self.offsets[1:] > self.offsets[:-1])
-        if np.any(occupied):
-            best = float(reduce(self.leaf_extremes[occupied]))
-        for row in partial_rows:
-            start, stop = self.offsets[row], self.offsets[row + 1]
-            if stop <= start:
-                continue
-            inside = (
-                (self.xs[start:stop] >= x_low)
-                & (self.xs[start:stop] <= x_high)
-                & (self.ys[start:stop] >= y_low)
-                & (self.ys[start:stop] <= y_high)
-            )
-            if np.any(inside):
-                value = float(reduce(self.measures[start:stop][inside]))
-                best = max(best, value) if self.maximize else min(best, value)
-        if not np.isfinite(best):
-            return float("nan")
-        return best
-
-    def size_in_bytes(self) -> int:
-        """Footprint of the payload arrays."""
-        return int(
-            self.xs.nbytes
-            + self.ys.nbytes
-            + self.measures.nbytes
-            + self.offsets.nbytes
-            + self.leaf_extremes.nbytes
-            + (self._tree.size_in_bytes() if self._tree is not None else 0)
-        )
-
-
-class RectangleExtremeTree:
-    """Batch rectangle MAX/MIN over a 2-D point set without per-query loops.
-
-    The 2-D analogue of :class:`SegmentExtremeDirectory`: points are sorted
-    by x, and every dyadic level re-sorts aligned x-rank blocks (64-point
-    base blocks, doubling up to a block covering everything) by y, storing
-    the level's measures under a :class:`RangeExtremeTable` in that y-order.
-    A rectangle query selects its x-window with two ``searchsorted`` calls,
-    covers the window with <= 2 aligned blocks per level (the canonical
-    dyadic decomposition) plus two masked base-block partials, and resolves
-    each block with integer ``searchsorted`` calls into the level's sorted
-    ``(block, y-rank)`` composites followed by one table query — O(log n)
-    C-level passes for the whole batch.
-
-    Exactness: MAX/MIN over a point subset is the same float under any
-    cover (even an overlapping one), so answers are bit-identical to the
-    brute-force scan and to the scalar leaf-merge oracle — including the
-    NaN convention for rectangles containing no point.  Memory is roughly
-    ``4 * n * num_levels`` floats; levels start at 64-point blocks to keep
-    the multiplier at ``~4 * log2(n / 64)``.
-    """
-
-    #: log2 of the base block size.  X-window pieces narrower than a base
-    #: block (head/tail remainders and level-0 emissions) are answered by a
-    #: fixed-width masked gather over the x-order, so no y-sorted level is
-    #: stored for spans <= 32.
-    BASE_SHIFT = 5
-
-    #: Queries are processed in chunks of this size so the widest transient
-    #: (the ``2*chunk x 32`` fused head/tail gather) stays under ~17 MiB.
-    CHUNK = 32_768
-
-    def __init__(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        measures: np.ndarray,
-        maximize: bool,
-    ) -> None:
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        measures = np.ascontiguousarray(measures, dtype=np.float64)
-        if not (xs.ndim == 1 and xs.shape == ys.shape == measures.shape):
-            raise QueryError("points and measures must be equal-length 1-D arrays")
-        order = np.argsort(xs, kind="stable")
-        self._xs = xs[order]
-        self._maximize = bool(maximize)
-        self._combine = np.maximum if maximize else np.minimum
-        self._fill = -np.inf if maximize else np.inf
-        n = self._xs.size
-        base = 1 << self.BASE_SHIFT
-        # NaN/fill padding lets the fixed-width gathers index past the end
-        # without clamping; padded lanes fail every y-window comparison.
-        self._ys_padded = np.concatenate([ys[order], np.full(base, np.nan)])
-        self._measures_padded = np.concatenate(
-            [measures[order], np.full(base, self._fill)]
-        )
-        self._levels: list[tuple[np.ndarray, RangeExtremeTable]] = []
-        if n == 0:
-            self._num_levels = 0
-            return
-        num_blocks = -(-n // base)
-        self._num_levels = int(num_blocks).bit_length()
-        x_ranks = np.arange(n, dtype=np.int64)
-        ys_sorted = self._ys_padded[:n]
-        measures_sorted = self._measures_padded[:n]
-        # Global y-ranks: within any block, rank order equals y order (the
-        # rank permutation sorts y), so the composite ``(block << shift) |
-        # rank`` is globally sorted per level and an in-block y-window
-        # endpoint is one integer ``searchsorted`` — no per-query bisection.
-        y_order = np.argsort(ys_sorted, kind="stable")
-        y_ranks = np.empty(n, dtype=np.int64)
-        y_ranks[y_order] = np.arange(n, dtype=np.int64)
-        self._ys_by_y = ys_sorted[y_order]
-        self._rank_shift = int(n).bit_length()
-        for level in range(1, self._num_levels):
-            block_ids = x_ranks >> (self.BASE_SHIFT + level)
-            composite = (block_ids << self._rank_shift) | y_ranks
-            level_order = np.argsort(composite)
-            self._levels.append(
-                (
-                    composite[level_order],
-                    RangeExtremeTable(measures_sorted[level_order], self._maximize),
-                )
-            )
-
-    def query(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-    ) -> np.ndarray:
-        """Extremes over N closed rectangles; NaN where no point falls inside."""
-        x_lows = np.atleast_1d(np.asarray(x_lows, dtype=np.float64))
-        x_highs = np.atleast_1d(np.asarray(x_highs, dtype=np.float64))
-        y_lows = np.atleast_1d(np.asarray(y_lows, dtype=np.float64))
-        y_highs = np.atleast_1d(np.asarray(y_highs, dtype=np.float64))
-        total = x_lows.size
-        if self._xs.size == 0:
-            return np.full(total, np.nan)
-        out = np.empty(total, dtype=np.float64)
-        for start in range(0, total, self.CHUNK):
-            stop = min(start + self.CHUNK, total)
-            sl = slice(start, stop)
-            out[sl] = self._query_chunk(
-                x_lows[sl], x_highs[sl], y_lows[sl], y_highs[sl]
-            )
-        return out
-
-    def _query_chunk(
-        self,
-        x_lows: np.ndarray,
-        x_highs: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-    ) -> np.ndarray:
-        base = 1 << self.BASE_SHIFT
-        lo = np.searchsorted(self._xs, x_lows, side="left")
-        hi = np.searchsorted(self._xs, x_highs, side="right")
-        best = np.full(x_lows.shape, self._fill, dtype=np.float64)
-        # Partial base blocks at the window's head and tail (masked gathers).
-        first_block = -(-lo // base)
-        last_block = hi // base
-        head_stop = np.minimum(hi, first_block * base)
-        tail_start = np.maximum(head_stop, last_block * base)
-        partial_values = self._window_values(
-            np.concatenate([lo, tail_start]),
-            np.concatenate([head_stop, hi]),
-            np.concatenate([y_lows, y_lows]),
-            np.concatenate([y_highs, y_highs]),
-        )
-        n_queries = x_lows.size
-        best = self._combine(best, partial_values[:n_queries])
-        best = self._combine(best, partial_values[n_queries:])
-        # The y-window endpoints in global y-rank space, shared by every
-        # level (the per-level composite searchsorted consumes ranks).
-        r_left = np.searchsorted(self._ys_by_y, y_lows, side="left").astype(np.int64)
-        r_right = np.searchsorted(self._ys_by_y, y_highs, side="right").astype(np.int64)
-        # Canonical dyadic cover of the fully contained base-block range,
-        # emitting <= 2 aligned blocks per level (classic bottom-up walk);
-        # both sides of a level resolve in one gather-or-table pass, then
-        # scatter separately (one query may emit on both sides of a level).
-        left = first_block
-        right = np.maximum(last_block, first_block)
-        for level in range(self._num_levels):
-            take = (left < right) & ((left & 1) == 1)
-            rows_l = np.nonzero(take)[0]
-            blocks_l = left[rows_l]
-            left = left + take
-            take = (left < right) & ((right & 1) == 1)
-            right = right - take
-            rows_r = np.nonzero(take)[0]
-            blocks_r = right[rows_r]
-            if rows_l.size or rows_r.size:
-                emit_rows = np.concatenate([rows_l, rows_r])
-                blocks = np.concatenate([blocks_l, blocks_r])
-                if level == 0:
-                    shift = self.BASE_SHIFT
-                    starts = blocks << shift
-                    stops = np.minimum((blocks + 1) << shift, self._xs.size)
-                    values = self._window_values(
-                        starts, stops, y_lows[emit_rows], y_highs[emit_rows]
-                    )
-                else:
-                    values = self._level_values(
-                        level, blocks, r_left[emit_rows], r_right[emit_rows]
-                    )
-                split = rows_l.size
-                best[rows_l] = self._combine(best[rows_l], values[:split])
-                best[rows_r] = self._combine(best[rows_r], values[split:])
-            left >>= 1
-            right >>= 1
-        return np.where(np.isfinite(best), best, np.nan)
-
-    def _window_values(
-        self,
-        starts: np.ndarray,
-        stops: np.ndarray,
-        y_lows: np.ndarray,
-        y_highs: np.ndarray,
-    ) -> np.ndarray:
-        """Extremes over x-rank windows ``[starts, stops)`` (width <= 64).
-
-        One masked fixed-width gather over the padded x-order; windows with
-        no qualifying point yield the fill identity.
-        """
-        values = np.full(starts.shape, self._fill, dtype=np.float64)
-        have = np.nonzero(stops > starts)[0]
-        if have.size == 0:
-            return values
-        s = starts[have]
-        width = int((stops[have] - s).max())
-        idx = s[:, None] + np.arange(width, dtype=np.intp)
-        ys = self._ys_padded[idx]
-        inside = (
-            (idx < stops[have, None])
-            & (ys >= y_lows[have, None])
-            & (ys <= y_highs[have, None])
-        )
-        reduce = np.maximum.reduce if self._maximize else np.minimum.reduce
-        values[have] = reduce(
-            self._measures_padded[idx], axis=1, where=inside, initial=self._fill
-        )
-        return values
-
-    def _level_values(
-        self,
-        level: int,
-        blocks: np.ndarray,
-        r_left: np.ndarray,
-        r_right: np.ndarray,
-    ) -> np.ndarray:
-        """Extremes over one level's aligned blocks clipped to the y-windows.
-
-        ``r_left``/``r_right`` are the y-window endpoints as global y-ranks.
-        The level array holds ``(block << rank_shift) | rank`` composites in
-        ascending order, and the points of block ``b`` with rank below ``r``
-        are exactly the composites below ``(b << rank_shift) + r``, so both
-        window endpoints are plain integer ``searchsorted`` calls.
-        """
-        composite, table = self._levels[level - 1]
-        keys = blocks.astype(np.int64) << self._rank_shift
-        lo_pos = np.searchsorted(composite, keys + r_left, side="left")
-        hi_pos = np.searchsorted(composite, keys + r_right, side="left")
-        values = np.full(blocks.shape, self._fill, dtype=np.float64)
-        nonempty = np.nonzero(hi_pos > lo_pos)[0]
-        if nonempty.size:
-            values[nonempty] = table.query(lo_pos[nonempty], hi_pos[nonempty] - 1)
-        return values
-
-    def size_in_bytes(self) -> int:
-        """Footprint of the level stack plus the x-sorted point arrays."""
-        total = self._xs.nbytes + self._ys_padded.nbytes + self._measures_padded.nbytes
-        total += self._ys_by_y.nbytes if self._levels else 0
-        for composite, table in self._levels:
-            # composite counted twice: the table holds its own same-length
-            # copy of the level's measures.
-            total += 2 * composite.nbytes + table.size_in_bytes()
-        return int(total)
 
 
 #: Finest virtual-grid depth for which the per-axis dyadic boundary arrays

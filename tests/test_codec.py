@@ -210,40 +210,7 @@ class TestRoundTrip2D:
 
 
 class TestExtremePayloadV2:
-    """Format v2: the 2-D point-extreme payload survives the round trip."""
-
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_extremes_round_trip_bit_identical(self, count2d_index, osm_small, tmp_path, mmap):
-        xs, ys = osm_small
-        measures = np.random.default_rng(23).uniform(0.0, 50.0, xs.size)
-        count2d_index.directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
-        try:
-            clone = load_index(
-                _save(count2d_index, tmp_path / "ext.pfbin"), mmap=mmap
-            )
-            restored = clone.directory.point_extremes
-            assert restored is not None
-            assert restored.maximize is True
-            original = count2d_index.directory.point_extremes
-            for attr in ("xs", "ys", "measures", "leaf_extremes", "offsets"):
-                assert (
-                    getattr(restored, attr).tobytes()
-                    == getattr(original, attr).tobytes()
-                ), attr
-            rng = np.random.default_rng(31)
-            ax = np.sort(rng.uniform(xs.min(), xs.max(), size=(2, 500)), axis=0)
-            ay = np.sort(rng.uniform(ys.min(), ys.max(), size=(2, 500)), axis=0)
-            got = restored.range_extreme_batch(ax[0], ax[1], ay[0], ay[1])
-            want = original.range_extreme_batch(ax[0], ax[1], ay[0], ay[1])
-            assert np.array_equal(got, want, equal_nan=True)
-        finally:
-            count2d_index.directory.point_extremes = None
-
-    def test_index_without_extremes_has_no_payload_after_load(
-        self, count2d_index, tmp_path
-    ):
-        clone = load_index(_save(count2d_index, tmp_path / "plain.pfbin"))
-        assert clone.directory.point_extremes is None
+    """Format v2 no longer carries a 2-D point-extreme payload; v1 files still load."""
 
     def test_v1_files_still_load(self, count_index, tmp_path):
         path = tmp_path / "v1.pfbin"

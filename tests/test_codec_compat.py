@@ -2,9 +2,10 @@
 
 The on-disk format promises two things the fleet manifest now leans on:
 
-* **backwards compatibility** — v1 files (written before the 2-D
-  point-extreme payload existed) keep loading, because v2 is purely
-  additive;
+* **backwards compatibility** — v1 files keep loading, and so do v2 files
+  that carry the retired 2-D point-extreme payload (``ext_*`` arrays plus
+  the ``extreme_aggregate`` meta key): the reader ignores it, because v2
+  was purely additive;
 * **typed failures** — a corrupted or foreign file raises
   :class:`~repro.errors.SerializationError`, never a bare
   ``struct.error`` / ``json.JSONDecodeError`` / ``KeyError`` crash.
@@ -17,11 +18,14 @@ import pytest
 
 from repro import (
     Aggregate,
+    Guarantee,
+    PolyFit2DIndex,
     PolyFitIndex,
     SerializationError,
     load_index,
     save_index,
 )
+from repro.cli import main
 from repro.index.codec import BINARY_MAGIC, read_array_store, write_array_store
 from repro.stream import UpdatablePolyFitIndex
 
@@ -76,6 +80,34 @@ class TestVersionCompatibility:
             loaded.snapshot().exact_batch(lows, highs),
             updatable.snapshot().exact_batch(lows, highs),
         )
+
+    def test_legacy_v2_extreme_payload_is_ignored(self, tmp_path, capsys):
+        # A legacy v2 file can carry a rectangle MAX payload on a 2-D index;
+        # the reader skips those arrays and loads the plain index.
+        rng = np.random.default_rng(29)
+        xs = rng.uniform(0.0, 10.0, 3000)
+        ys = rng.uniform(0.0, 10.0, 3000)
+        index = PolyFit2DIndex.build(xs, ys, delta=40.0, grid_resolution=32)
+        path = tmp_path / "legacy2d.pfbin"
+        save_index(index, path)
+        meta, arrays = read_array_store(path, mmap=False)
+        meta = dict(meta, extreme_aggregate="max", format_version=2)
+        arrays = dict(arrays, ext_xs=xs, ext_ys=ys,
+                      ext_measures=rng.uniform(0.0, 50.0, xs.size))
+        write_array_store(path, arrays, meta)
+        loaded = load_index(path)
+        assert isinstance(loaded, PolyFit2DIndex)
+        a = np.sort(rng.uniform(-1.0, 11.0, (2, 400)), axis=0)
+        b = np.sort(rng.uniform(-1.0, 11.0, (2, 400)), axis=0)
+        for guarantee in (Guarantee.absolute(100.0), Guarantee.relative(0.05)):
+            got = loaded.query_batch(a[0], a[1], b[0], b[1], guarantee)
+            want = index.query_batch(a[0], a[1], b[0], b[1], guarantee)
+            for field in ("values", "guaranteed", "exact_fallback", "error_bounds"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert main(["fsck", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "legacy2d.pfbin: ok" in out
+        assert "format v2 predates per-array checksums" in out
 
     def test_unsupported_future_version_raises(self, tmp_path):
         index = _build_index()

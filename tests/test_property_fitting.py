@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.fitting import (
     Polynomial1D,
@@ -39,6 +39,9 @@ class TestMinimaxProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(points=_point_sets, degree=st.integers(min_value=0, max_value=3))
+    # Three badly scaled keys that a degree-2 fit interpolates: the LP solver
+    # must reach the exact fit least squares finds (~1e-9), not 0.5.
+    @example(points=([0.0, 201.0, 1e-5], [0.0, 0.0, 1.0]), degree=2)
     def test_minimax_no_worse_than_least_squares(self, points, degree):
         keys, values = map(np.asarray, points)
         minimax = fit_minimax_polynomial(keys, values, degree, solver="lp")

@@ -1,4 +1,4 @@
-"""Tests for the two-key streaming variant and the 2-D MAX/MIN payload."""
+"""Tests for the two-key streaming variant."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro import (
     RangeQuery2D,
     UpdatablePolyFit2DIndex,
 )
-from repro.errors import DataError, QueryError
+from repro.errors import DataError
 
 
 def _rects(rng, n, span=(0.0, 10.0)):
@@ -125,63 +125,3 @@ class TestUpdatable2D:
         assert index.epoch == 0
         index.insert(rng.uniform(0, 10, 1), rng.uniform(0, 10, 1))
         assert index.epoch == 1 and index.buffer_size == 0
-
-
-class TestQuadLeafExtremes:
-    @pytest.fixture(scope="class")
-    def directory_with_points(self):
-        rng = np.random.default_rng(110)
-        xs = rng.uniform(0, 10, 2000)
-        ys = rng.uniform(0, 10, 2000)
-        measures = rng.normal(0, 5, 2000)
-        index = PolyFit2DIndex.build(xs, ys, delta=40.0, grid_resolution=48)
-        return index.directory, xs, ys, measures
-
-    @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.MIN])
-    def test_matches_brute_force(self, directory_with_points, aggregate):
-        directory, xs, ys, measures = directory_with_points
-        directory.point_extremes = None
-        directory.attach_extremes(xs, ys, measures, aggregate)
-        reduce = np.max if aggregate is Aggregate.MAX else np.min
-        rng = np.random.default_rng(111)
-        bounds = _rects(rng, 300)
-        got = directory.range_extreme_batch(*bounds)
-        for i, (xl, xh, yl, yh) in enumerate(zip(*bounds)):
-            mask = (xs >= xl) & (xs <= xh) & (ys >= yl) & (ys <= yh)
-            if not mask.any():
-                assert np.isnan(got[i])
-            else:
-                assert got[i] == float(reduce(measures[mask]))
-
-    def test_vectorized_equals_scalar_oracle(self, directory_with_points):
-        directory, xs, ys, measures = directory_with_points
-        directory.point_extremes = None
-        directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
-        bounds = _rects(np.random.default_rng(112), 300)
-        assert np.array_equal(
-            directory.range_extreme_batch(*bounds),
-            directory.range_extreme_batch(*bounds, force_scalar=True),
-            equal_nan=True,
-        )
-
-    def test_empty_rectangle_is_nan(self, directory_with_points):
-        directory, xs, ys, measures = directory_with_points
-        directory.point_extremes = None
-        directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
-        assert np.isnan(directory.range_extreme(11.0, 12.0, 11.0, 12.0))
-
-    def test_guards(self, directory_with_points):
-        directory, xs, ys, measures = directory_with_points
-        directory.point_extremes = None
-        with pytest.raises(QueryError):
-            directory.range_extreme(0, 1, 0, 1)  # payload not attached
-        with pytest.raises(QueryError):
-            directory.attach_extremes(xs, ys, measures, Aggregate.COUNT)
-        directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
-        with pytest.raises(QueryError):
-            directory.attach_extremes(xs, ys, measures, Aggregate.MIN)
-        with pytest.raises(QueryError):
-            directory.range_extreme(1.0, 0.0, 0.0, 1.0)  # inverted bounds
-        # Idempotent for the same aggregate.
-        payload = directory.attach_extremes(xs, ys, measures, Aggregate.MAX)
-        assert payload is directory.point_extremes
