@@ -58,9 +58,7 @@
 #                       gate must trip on a perturbed answer (~1 min)
 #   make reproduce    - the paper reproduction itself: every figure, table
 #                       and ablation driver under benchmarks/ (pytest, ~1 min;
-#                       REPRO_BENCH_SCALE shrinks the datasets); not in CI
-#                       while bench_fig17_max.py's MAX latency assert is
-#                       unstable
+#                       REPRO_BENCH_SCALE shrinks the datasets)
 #   make docs-lint    - README/docs link + anchor checker, every
 #                       BENCH_*.json named in the docs must be emitted by a
 #                       benchmark (and vice versa), and every metric name

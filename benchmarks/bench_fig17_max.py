@@ -47,9 +47,10 @@ def test_fig17a_max_vs_abs_threshold(hki_data, hki_queries):
     # ns-level constant factors that a pure-Python substrate flattens, so the
     # comparison is asserted only up to a generous factor; the structural
     # advantage (far fewer stored entries) is checked in the Figure 19 bench.
-    # Note that this implementation evaluates boundary segments at their
-    # sampled keys (DESIGN.md section 8), so its MAX latency grows mildly with
-    # looser budgets (longer segments) instead of staying flat.
+    # Boundary segments are evaluated at their sampled keys, but only at
+    # the two snapped bounds and each segment's O(degree) stored candidate
+    # samples (see the polyfit1d module docstring), so MAX latency does not
+    # depend on segment length and stays flat across budgets.
     for artree_ns, polyfit_ns in zip(series["aR-tree"], series["PolyFit-2"]):
         assert polyfit_ns <= 10.0 * artree_ns
 

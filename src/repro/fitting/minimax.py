@@ -67,13 +67,17 @@ class MinimaxFit:
 def _scaling(values: np.ndarray) -> tuple[float, float]:
     """Affine map sending ``[min, max]`` of ``values`` to ``[-1, 1]``.
 
-    Degenerate spans (identical values, or a span so small that halving it
-    underflows to zero) fall back to unit scale so the resulting polynomial
-    is always well defined.
+    Identical values fall back to unit scale so the resulting polynomial is
+    always well defined; a span so small that halving it underflows to zero
+    is scaled by the whole span.
     """
     low = float(values.min())
     high = float(values.max())
     half_span = (high - low) / 2.0
+    if half_span == 0.0 and high > low:
+        # Halving the smallest subnormal span underflows: map it to [0, 1]
+        # instead, since a unit scale would leave slopes of order 1e323.
+        return low, high - low
     if not np.isfinite(half_span) or half_span <= 0.0:
         return low, 1.0
     return (low + high) / 2.0, half_span

@@ -110,9 +110,9 @@ class Polynomial1D:
     def extreme_on(self, low: float, high: float, maximize: bool = True) -> tuple[float, float]:
         """Closed-form constrained extremum on ``[low, high]`` (Equation 17).
 
-        Candidate points are the interval endpoints plus the real roots of
-        the derivative that fall inside the interval; the best candidate and
-        its value are returned.
+        Candidate points are the interval endpoints plus the
+        :meth:`critical_points` that fall inside the interval; the best
+        candidate and its value are returned.
 
         Returns
         -------
@@ -122,29 +122,19 @@ class Polynomial1D:
         if high < low:
             raise QueryError(f"invalid interval [{low}, {high}]")
         candidates = [low, high]
-        deriv = self.derivative()
-        # Roots of the derivative in local coordinates.  Coefficients are
-        # normalized before the companion-matrix root solve and tiny leading
-        # terms are trimmed, which keeps the computation finite for extreme
-        # coefficient magnitudes.
-        dcoeffs = deriv.coeffs
-        magnitude = float(np.max(np.abs(dcoeffs))) if dcoeffs.size else 0.0
-        if magnitude > 0 and dcoeffs.size > 1:
-            normalized = dcoeffs / magnitude
-            significant = np.nonzero(np.abs(normalized) > 1e-14)[0]
-            if significant.size > 0:
-                trimmed = normalized[: significant[-1] + 1]
-                if trimmed.size > 1:
-                    with np.errstate(all="ignore"):
-                        roots = np.roots(trimmed[::-1])
-                    real_roots = roots[np.isfinite(roots) & (np.abs(roots.imag) < 1e-9)].real
-                    raw_roots = real_roots * self.scale + self.shift
-                    for root in raw_roots:
-                        if np.isfinite(root) and low <= root <= high:
-                            candidates.append(float(root))
+        candidates += [float(root) for root in self.critical_points() if low <= root <= high]
         values = np.array([self(c) for c in candidates])
         best_index = int(np.argmax(values)) if maximize else int(np.argmin(values))
         return candidates[best_index], float(values[best_index])
+
+    def critical_points(self) -> np.ndarray:
+        """Raw keys at which the derivative may vanish.
+
+        The finite entries of this polynomial's row in
+        :meth:`PolynomialBank.critical_points`.
+        """
+        roots = PolynomialBank.from_polynomials([self]).critical_points()[0]
+        return roots[~np.isnan(roots)]
 
     @property
     def num_parameters(self) -> int:
@@ -248,6 +238,41 @@ class PolynomialBank:
         for column in range(self.width - 2, -1, -1):
             result = result * t + gathered[..., column]
         return result
+
+    def critical_points(self) -> np.ndarray:
+        """Raw keys at which each row's derivative may vanish.
+
+        Returns an ``(h, width - 2)`` array, NaN-padded.  Each derivative is
+        normalized, and terms below ``1e-14`` of its largest are trimmed, so
+        extreme coefficient magnitudes stay finite; rows of one trimmed
+        degree share a single stacked companion-matrix ``eigvals`` call.
+        Complex roots keep their real part and roots that map outside the
+        float range become NaN: every caller only adds candidate points, and
+        an extra candidate is harmless.
+        """
+        h, width = self._coeffs.shape
+        roots = np.full((h, max(width - 2, 0)), np.nan)
+        if width < 3:
+            return roots
+        tail = self._coeffs[:, 1:]
+        magnitude = np.max(np.abs(tail), axis=1, keepdims=True)
+        deriv = tail / np.where(magnitude > 0, magnitude, 1.0) * np.arange(1, width)
+        significant = np.abs(deriv) > 1e-14 * np.max(np.abs(deriv), axis=1, keepdims=True)
+        # Degree of each trimmed derivative (0 when it vanishes entirely).
+        order = np.where(
+            significant.any(axis=1), width - 2 - np.argmax(significant[:, ::-1], axis=1), 0
+        )
+        with np.errstate(all="ignore"):
+            for m in range(1, width - 1):
+                rows = np.flatnonzero(order == m)
+                # np.roots' companion layout: first row -a[m-1..0] / a[m].
+                companion = np.zeros((rows.size, m, m))
+                companion[:, 0, :] = -(deriv[rows, :m] / deriv[rows, m:m + 1])[:, ::-1]
+                companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+                local = np.linalg.eigvals(companion).real
+                roots[rows, :m] = local * self._scales[rows, None] + self._shifts[rows, None]
+        roots[~np.isfinite(roots)] = np.nan
+        return roots
 
     def size_in_bytes(self) -> int:
         """Footprint of the flat arrays."""

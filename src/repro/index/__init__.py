@@ -26,7 +26,6 @@ from .directory import (
     QuadDirectory,
     RangeExtremeTable,
     SegmentDirectory,
-    SegmentExtremeDirectory,
 )
 from .guarantees import (
     delta_for_absolute,
@@ -47,7 +46,6 @@ __all__ = [
     "SegmentDirectory",
     "QuadDirectory",
     "RangeExtremeTable",
-    "SegmentExtremeDirectory",
     "delta_for_absolute",
     "delta_for_relative",
     "certify_relative",

@@ -20,9 +20,9 @@ arrays (the representation threads and mmap can share):
   into the sorted leaf keys; evaluation gathers coefficient rows into a
   single nested-Horner pass, with exact cells answered by a vectorized
   nearest-grid-sample gather.
-* :class:`SegmentExtremeDirectory` — per-segment prefix/suffix extreme
-  arrays plus range-extreme tables that make the MAX/MIN batch path O(1)
-  NumPy calls as well.
+* :class:`RangeExtremeTable` — vectorized range-extreme queries over a
+  fixed value array: a MAX/MIN index's h per-segment extremes, and an
+  overlay's delta-buffer measures.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..config import Aggregate
 from ..errors import QueryError, SegmentationError
 from ..fitting.polynomial import PolynomialBank, SurfaceBank
 from ..fitting.quadtree import QuadCell, linearize_quadtree, morton_interleave2
@@ -41,7 +40,6 @@ __all__ = [
     "CellDirectory",
     "SegmentDirectory",
     "QuadDirectory",
-    "SegmentExtremeDirectory",
     "RangeExtremeTable",
 ]
 
@@ -132,7 +130,6 @@ class SegmentDirectory(CellDirectory):
         self.starts = np.array([s.start for s in segments], dtype=np.intp)
         self.stops = np.array([s.stop for s in segments], dtype=np.intp)
         self.bank = PolynomialBank.from_polynomials([s.polynomial for s in segments])
-        self.extremes: SegmentExtremeDirectory | None = None
 
     @classmethod
     def from_segments(cls, segments: Sequence[Segment]) -> "SegmentDirectory":
@@ -154,42 +151,6 @@ class SegmentDirectory(CellDirectory):
     def covering_range(self, low: float, high: float) -> tuple[int, int]:
         """Indices (first, last) of segments intersecting ``[low, high]``."""
         return self.locate(low), self.locate(high)
-
-    def attach_extremes(
-        self, sample_keys: np.ndarray, measures: np.ndarray, aggregate: Aggregate
-    ) -> None:
-        """Build the MAX/MIN extreme payload over the sampled target function.
-
-        Evaluates every segment's polynomial at its own sampled keys with one
-        flat bank pass, then derives the per-segment prefix/suffix extreme
-        arrays and range-extreme tables the vectorized extreme path consumes.
-        Idempotent for the same aggregate; re-attaching under the opposite
-        extremum is rejected (the payload's merge direction is baked in).
-        """
-        if not aggregate.is_extremum:
-            raise QueryError("extreme payload applies to MAX/MIN directories only")
-        maximize = aggregate is Aggregate.MAX
-        if self.extremes is not None:
-            if self.extremes.maximize is not maximize:
-                raise QueryError(
-                    "directory already carries extremes for the opposite aggregate"
-                )
-            return
-        rows = np.repeat(np.arange(len(self), dtype=np.intp), self.stops - self.starts)
-        if rows.size != sample_keys.size:
-            raise QueryError("segments do not partition the sampled keys")
-        poly_values = self.bank.evaluate(rows, sample_keys)
-        segment_extremes = np.empty(len(self), dtype=np.float64)
-        for row, (start, stop) in enumerate(zip(self.starts, self.stops)):
-            window = measures[start:stop]
-            segment_extremes[row] = window.max() if maximize else window.min()
-        self.extremes = SegmentExtremeDirectory(
-            starts=self.starts,
-            stops=self.stops,
-            poly_values=poly_values,
-            segment_extremes=segment_extremes,
-            maximize=maximize,
-        )
 
     def size_in_bytes(self) -> int:
         """Footprint of the flat arrays (boundary, error and coefficient)."""
@@ -512,11 +473,12 @@ def _axis_cells(coords: np.ndarray, boundaries: np.ndarray, scale: float | None)
 class RangeExtremeTable:
     """Vectorized inclusive range-extreme queries over a fixed value array.
 
-    Block decomposition with block size ``BLOCK``: per-block extremes carry a
-    sparse table for the full blocks strictly inside a window, in-block
-    prefix/suffix extreme arrays answer the partial end blocks, and windows
-    inside a single block reduce over a masked fixed-width gather.  Every
-    path is O(1) NumPy calls for N windows.
+    A window of at most ``BLOCK`` values reads a sparse table cut at
+    ``log2(BLOCK) + 1`` levels: two gathers.  A longer window spans two or
+    more blocks of size ``BLOCK``: the in-block suffix and prefix extremes
+    answer its two end blocks, and a sparse table over per-block extremes
+    answers the full blocks between.  Every path is O(1) NumPy calls for N
+    windows, in O(n) space.
     """
 
     BLOCK = 32
@@ -525,8 +487,7 @@ class RangeExtremeTable:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise QueryError("values must be a non-empty 1-D array")
-        self._values = values
-        self._maximize = bool(maximize)
+        self._size = values.size
         self._combine = np.maximum if maximize else np.minimum
         fill = -np.inf if maximize else np.inf
         block = self.BLOCK
@@ -535,20 +496,20 @@ class RangeExtremeTable:
         padded = np.full(num_blocks * block, fill, dtype=np.float64)
         padded[:n] = values
         grid = padded.reshape(num_blocks, block)
-        accumulate = np.maximum.accumulate if maximize else np.minimum.accumulate
-        # Fill-padded copy for the fixed-width same-block gather: one spare
-        # block lets a gather starting at the last element stay in bounds.
-        self._values_padded = np.concatenate([padded, np.full(block, fill)])
-        self._block_extremes = grid.max(axis=1) if maximize else grid.min(axis=1)
+        accumulate = self._combine.accumulate
+        self._short = self._build_sparse_table(values, block.bit_length())
+        self._block_extremes = self._combine.reduce(grid, axis=1)
         self._prefix_in_block = accumulate(grid, axis=1).reshape(-1)[:n]
         self._suffix_in_block = accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)[:n]
-        self._table = self._build_sparse_table(self._block_extremes)
-        self._fill = fill
+        self._table = self._build_sparse_table(self._block_extremes, num_blocks.bit_length())
 
-    def _build_sparse_table(self, values: np.ndarray) -> np.ndarray:
-        """``table[k, i]`` = extreme over ``values[i : i + 2**k]`` (clamped)."""
+    def _build_sparse_table(self, values: np.ndarray, levels: int) -> np.ndarray:
+        """``table[k, i]`` = extreme over ``values[i : i + 2**k]`` (clamped).
+
+        ``levels`` is capped at ``log2(n) + 1``, which covers every window.
+        """
         n = values.size
-        levels = max(1, int(np.log2(n)) + 1)
+        levels = min(levels, n.bit_length())
         table = np.empty((levels, n), dtype=np.float64)
         table[0] = values
         for k in range(1, levels):
@@ -557,12 +518,10 @@ class RangeExtremeTable:
             table[k, n - span:] = table[k - 1, n - span:]
         return table
 
-    def _sparse_query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Range extreme over whole blocks ``[lo, hi]`` (inclusive, lo <= hi)."""
-        length = hi - lo + 1
-        k = np.floor(np.log2(length)).astype(np.intp)
-        offset = hi - (np.left_shift(1, k)) + 1
-        return self._combine(self._table[k, lo], self._table[k, offset])
+    def _sparse_query(self, table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Extreme over ``[lo, hi]`` (inclusive, lo <= hi) from a sparse table."""
+        k = np.log2(hi - lo + 1).astype(np.intp)
+        return self._combine(table[k, lo], table[k, hi - np.left_shift(1, k) + 1])
 
     def query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Extremes over the inclusive index windows ``[lo[i], hi[i]]``."""
@@ -570,133 +529,31 @@ class RangeExtremeTable:
         hi = np.asarray(hi, dtype=np.intp)
         if lo.shape != hi.shape:
             raise QueryError("lo and hi must have matching shapes")
-        if lo.size and (lo.min() < 0 or hi.max() >= self._values.size or np.any(hi < lo)):
+        if lo.size and (lo.min() < 0 or hi.max() >= self._size or np.any(hi < lo)):
             raise QueryError("window indices out of range")
         block = self.BLOCK
-        b_lo = lo // block
-        b_hi = hi // block
         out = np.empty(lo.shape, dtype=np.float64)
-        same = b_lo == b_hi
-        if np.any(same):
-            win_lo = lo[same]
-            win_hi = hi[same]
-            idx = win_lo[:, None] + np.arange(block, dtype=np.intp)[None, :]
-            reduce = np.maximum.reduce if self._maximize else np.minimum.reduce
-            out[same] = reduce(
-                self._values_padded[idx],
-                axis=1,
-                where=idx <= win_hi[:, None],
-                initial=self._fill,
-            )
-        spanning = ~same
-        if np.any(spanning):
-            win_lo = lo[spanning]
-            win_hi = hi[spanning]
-            value = self._combine(self._suffix_in_block[win_lo], self._prefix_in_block[win_hi])
-            first_full = b_lo[spanning] + 1
-            last_full = b_hi[spanning] - 1
-            has_middle = last_full >= first_full
-            if np.any(has_middle):
-                middle = self._sparse_query(first_full[has_middle], last_full[has_middle])
-                value[has_middle] = self._combine(value[has_middle], middle)
-            out[spanning] = value
+        short = hi - lo < block
+        out[short] = self._sparse_query(self._short, lo[short], hi[short])
+        spanning = ~short
+        win_lo = lo[spanning]
+        win_hi = hi[spanning]
+        value = self._combine(self._suffix_in_block[win_lo], self._prefix_in_block[win_hi])
+        first_full = win_lo // block + 1
+        last_full = win_hi // block - 1
+        middle = last_full >= first_full
+        value[middle] = self._combine(
+            value[middle], self._sparse_query(self._table, first_full[middle], last_full[middle])
+        )
+        out[spanning] = value
         return out
 
     def size_in_bytes(self) -> int:
-        """Footprint of the table arrays (excluding the values themselves)."""
+        """Footprint of the table arrays (the short table includes the values)."""
         return int(
-            self._block_extremes.nbytes
+            self._short.nbytes
+            + self._block_extremes.nbytes
             + self._prefix_in_block.nbytes
             + self._suffix_in_block.nbytes
             + self._table.nbytes
-        )
-
-
-class SegmentExtremeDirectory:
-    """Flat extreme payload for the MAX/MIN batch path.
-
-    Stores, over the sampled target function of a MAX/MIN index:
-
-    * per-segment *prefix* extreme array — ``prefix[k]`` is the extreme of
-      the covering segment's polynomial values over sample indices
-      ``[start(seg(k)), k]`` — and the matching *suffix* array, which answer
-      the two boundary segments of a spanning query in one gather each;
-    * a range-extreme table over the per-segment TRUE measure extremes for
-      the fully covered interior segments (replacing the per-query aggregate
-      tree descent);
-    * a range-extreme table over the polynomial values for queries whose
-      window falls inside a single segment (arbitrary sub-windows).
-    """
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        stops: np.ndarray,
-        poly_values: np.ndarray,
-        segment_extremes: np.ndarray,
-        maximize: bool,
-    ) -> None:
-        poly_values = np.ascontiguousarray(poly_values, dtype=np.float64)
-        self._maximize = bool(maximize)
-        self._combine = np.maximum if maximize else np.minimum
-        accumulate = np.maximum.accumulate if maximize else np.minimum.accumulate
-        self.prefix = np.empty(poly_values.size, dtype=np.float64)
-        self.suffix = np.empty(poly_values.size, dtype=np.float64)
-        for start, stop in zip(starts, stops):
-            window = poly_values[start:stop]
-            self.prefix[start:stop] = accumulate(window)
-            self.suffix[start:stop] = accumulate(window[::-1])[::-1]
-        self.segment_extremes = np.ascontiguousarray(segment_extremes, dtype=np.float64)
-        self._interior = RangeExtremeTable(self.segment_extremes, maximize)
-        self._values = RangeExtremeTable(poly_values, maximize)
-
-    @property
-    def maximize(self) -> bool:
-        """Whether the payload merges with max (MAX index) or min (MIN)."""
-        return self._maximize
-
-    def query(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        first: np.ndarray,
-        last: np.ndarray,
-    ) -> np.ndarray:
-        """Batch extreme over sample windows ``[lo, hi]`` (inclusive).
-
-        ``first``/``last`` are the segments covering the window's endpoints.
-        Spanning windows combine the first segment's suffix extreme, the last
-        segment's prefix extreme and (when at least one segment is fully
-        covered) the interior table over true extremes; single-segment
-        windows reduce over the polynomial-value table.  Matches the scalar
-        merge of :meth:`PolyFitIndex._approximate_extreme` value for value.
-        """
-        lo = np.asarray(lo, dtype=np.intp)
-        hi = np.asarray(hi, dtype=np.intp)
-        first = np.asarray(first, dtype=np.intp)
-        last = np.asarray(last, dtype=np.intp)
-        out = np.empty(lo.shape, dtype=np.float64)
-        same = first == last
-        spanning = ~same
-        if np.any(spanning):
-            value = self._combine(self.suffix[lo[spanning]], self.prefix[hi[spanning]])
-            covered = last[spanning] - first[spanning] > 1
-            if np.any(covered):
-                interior = self._interior.query(
-                    first[spanning][covered] + 1, last[spanning][covered] - 1
-                )
-                value[covered] = self._combine(value[covered], interior)
-            out[spanning] = value
-        if np.any(same):
-            out[same] = self._values.query(lo[same], hi[same])
-        return out
-
-    def size_in_bytes(self) -> int:
-        """Footprint of the extreme payload arrays."""
-        return int(
-            self.prefix.nbytes
-            + self.suffix.nbytes
-            + self.segment_extremes.nbytes
-            + self._interior.size_in_bytes()
-            + self._values.size_in_bytes()
         )

@@ -8,16 +8,24 @@
    derived from the requested guarantee (Lemmas 2/4) or supplied directly.
 3. Place a flat sorted array of segment boundaries (searched with
    ``numpy.searchsorted`` — the analogue of the short root-to-leaf path of
-   Figure 6) over the ``h`` segments; for MAX/MIN additionally store a sparse
-   aggregate tree over per-segment extremes so whole segments inside the
-   query range are resolved without touching their polynomial.
+   Figure 6) over the ``h`` segments; for MAX/MIN additionally store the
+   ``h`` true per-segment extremes with a range-extreme table over them, so
+   whole segments inside the query range are resolved without touching
+   their polynomial.
 
 Query answering follows Section V:
 
 * SUM/COUNT — ``A = P_Iu(uq) - P_Il(lq)``, error at most ``2 * delta``.
-* MAX/MIN — exact tree descent over fully covered segments plus closed-form
-  polynomial extrema on the two boundary segments clipped to the query range
-  (Equation 17), error at most ``delta``.
+* MAX/MIN — the stored extremes of the fully covered segments, merged with
+  the largest (smallest) value each boundary segment's polynomial takes at
+  the *sampled keys* inside the query range; error at most ``delta``
+  (Lemma 4).  The continuous maximum of Equation 17 is not used: between
+  samples a polynomial can overshoot, and Lemma 4 does not cover that.
+  Over a window of samples a polynomial P is largest (smallest) at one of
+  the window's two ends or at a sample next to a root of P'; between two
+  roots P is monotone, so no other sample can win.  Each segment therefore
+  stores O(d) candidate samples with their P values, and a query evaluates
+  P only at its two snapped bounds.
 
 Relative-error queries (Problem 2) are answered through the certificate of
 Lemmas 3/5 with an automatic fallback to the exact baseline when the
@@ -29,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.exact import KeyCumulativeArray
-from ..baselines.aggregate_tree import AggregateSegmentTree
 from ..config import Aggregate, IndexConfig
 from ..errors import DataError, GuaranteeNotSatisfiedError, NotSupportedError, QueryError
 from ..fitting.segmentation import Segment, greedy_segmentation
@@ -38,7 +45,7 @@ from ..functions.key_measure import KeyMeasureFunction, build_key_measure_functi
 from ..queries.batch import CertifiedView
 from ..queries.types import Guarantee, QueryResult, RangeQuery
 from ..config import GuaranteeKind
-from .directory import SegmentDirectory
+from .directory import RangeExtremeTable, SegmentDirectory
 from .guarantees import certified_absolute_bound, certify_relative, delta_for_absolute
 
 __all__ = ["PolyFitIndex"]
@@ -65,7 +72,6 @@ class PolyFitIndex(CertifiedView):
         directory: SegmentDirectory,
         cumulative: CumulativeFunction | None,
         key_measure: KeyMeasureFunction | None,
-        segment_extreme_tree: AggregateSegmentTree | None,
         exact_fallback: KeyCumulativeArray | None,
         config: IndexConfig,
     ) -> None:
@@ -75,9 +81,10 @@ class PolyFitIndex(CertifiedView):
         self._directory = directory
         self._cumulative = cumulative
         self._key_measure = key_measure
-        self._segment_extreme_tree = segment_extreme_tree
         self._exact_fallback = exact_fallback
         self._config = config
+        if key_measure is not None:
+            self._build_extreme_tables(key_measure)
         # The certified bound depends only on construction-time quantities;
         # computing it once here keeps it off the per-query hot path.
         self._certified_bound = certified_absolute_bound(self._delta, aggregate, num_keys=1)
@@ -191,14 +198,14 @@ class PolyFitIndex(CertifiedView):
 
         The one assembly path shared by :meth:`build`, the codec loader and
         streaming compaction: it rebuilds the segment directory and the
-        exact-fallback structures (the key-cumulative array for SUM/COUNT,
-        the per-segment extreme tree for MAX/MIN) from the segments and the
-        function samples they were fitted to.
+        exact-fallback structures (the key-cumulative array for SUM/COUNT;
+        for MAX/MIN, the raw key-measure function and the per-segment
+        extreme tables) from the segments and the function samples they
+        were fitted to.
         """
         directory = SegmentDirectory.from_segments(segments)
         cumulative = None
         key_measure = None
-        segment_extreme_tree = None
         exact_fallback = None
         if aggregate.is_cumulative:
             cumulative = CumulativeFunction(
@@ -209,15 +216,6 @@ class PolyFitIndex(CertifiedView):
             key_measure = KeyMeasureFunction(
                 keys=function_keys, measures=function_values, aggregate=aggregate
             )
-            # Segments tile [0, n), so one reduceat over the segment starts
-            # yields every per-segment extreme without a Python-level loop.
-            starts = np.array([segment.start for segment in segments], dtype=np.intp)
-            reducer = np.maximum if aggregate is Aggregate.MAX else np.minimum
-            segment_extreme_tree = AggregateSegmentTree(
-                keys=np.arange(len(segments), dtype=np.float64),
-                measures=reducer.reduceat(function_values, starts),
-                aggregate=aggregate,
-            )
         return cls(
             aggregate=aggregate,
             delta=delta,
@@ -225,10 +223,41 @@ class PolyFitIndex(CertifiedView):
             directory=directory,
             cumulative=cumulative,
             key_measure=key_measure,
-            segment_extreme_tree=segment_extreme_tree,
             exact_fallback=exact_fallback,
             config=config,
         )
+
+    def _build_extreme_tables(self, key_measure: KeyMeasureFunction) -> None:
+        """The MAX/MIN answer tables, O(h * d) floats in all.
+
+        * ``_segment_extremes`` — each segment's true extreme (segments tile
+          the samples, so one ``reduceat`` over the starts), with a
+          range-extreme table for the fully covered interior of a query;
+        * ``(h, C)`` sorted candidate samples per segment — its first and
+          last sample plus two samples on each side of every root of P' —
+          with P's value at each (the rule in the module docstring), and
+          per-segment prefix/suffix extremes of those values.  Flattened,
+          the candidate indices are globally sorted.
+        """
+        maximize = self._aggregate is Aggregate.MAX
+        self._combine = np.maximum if maximize else np.minimum
+        self._fill = -np.inf if maximize else np.inf
+        keys = key_measure.keys
+        directory = self._directory
+        starts = directory.starts[:, None]
+        lasts = directory.stops[:, None] - 1
+        self._segment_extremes = self._combine.reduceat(key_measure.measures, directory.starts)
+        self._interior = RangeExtremeTable(self._segment_extremes, maximize)
+        roots = directory.bank.critical_points()
+        positions = np.searchsorted(keys, np.where(np.isnan(roots), keys[starts], roots))
+        around = (positions[:, :, None] + np.arange(-2, 2)).reshape(len(directory), -1)
+        index = np.sort(np.clip(np.hstack((starts, lasts, around)), starts, lasts), axis=1)
+        rows = np.repeat(np.arange(len(directory)), index.shape[1])
+        values = directory.bank.evaluate(rows, keys[index.ravel()]).reshape(index.shape)
+        self._candidate_index = index
+        self._candidate_values = values
+        self._candidate_prefix = self._combine.accumulate(values, axis=1).ravel()
+        self._candidate_suffix = self._combine.accumulate(values[:, ::-1], axis=1)[:, ::-1].ravel()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -276,15 +305,16 @@ class PolyFitIndex(CertifiedView):
         coefficients, plus per-segment extremes for MAX/MIN) at 8 bytes each,
         mirroring how the paper reports index size (Figure 19).  The exact
         fallback structure is excluded (it is the baseline structure every
-        method needs for uncertified relative queries), as is the lazily
-        built O(n) batch extreme payload — an optional acceleration cache,
-        not part of the learned index payload the figure compares.
+        method needs for uncertified relative queries).  So are the
+        structures derived from the counted parameters at load time, like
+        the flat directory arrays: for MAX/MIN, the O(h * d) candidate
+        table and the range-extreme table over the per-segment extremes.
         """
         floats = 0
         for segment in self._segments:
             floats += 2  # key_low, key_high
             floats += segment.polynomial.num_parameters
-        if self._segment_extreme_tree is not None:
+        if self._key_measure is not None:
             floats += self.num_segments  # one extreme per segment
         return floats * 8
 
@@ -354,7 +384,8 @@ class PolyFitIndex(CertifiedView):
         coefficient rows are evaluated with a single Horner pass
         (:meth:`PolynomialBank.evaluate`) — O(1) NumPy calls for the whole
         workload.  MAX/MIN vectorizes the snapping and segment location and
-        merges the boundary segments with the directory's extreme payload.
+        merges the boundary polynomials with the per-segment candidate and
+        extreme tables.
         The certified bound is the construction-time constant.
         """
         if self._aggregate.is_cumulative:
@@ -433,64 +464,38 @@ class PolyFitIndex(CertifiedView):
         assert self._key_measure is not None
         # Snap the bounds to the sampled keys so the query range matches the
         # records actually selected by the exact semantics (and so an empty
-        # range is detected as such).
+        # range is detected as such).  Each polynomial value deviates from
+        # the true measure by at most delta (Definition 3), and each stored
+        # extreme is exact, so the merged extreme is within delta (Lemma 4).
         keys = self._key_measure.keys
-        low_idx = int(np.searchsorted(keys, query.low, side="left"))
-        high_idx = int(np.searchsorted(keys, query.high, side="right")) - 1
-        if high_idx < low_idx:
+        lo = int(np.searchsorted(keys, query.low, side="left"))
+        hi = int(np.searchsorted(keys, query.high, side="right")) - 1
+        if hi < lo:
             return float("nan")
-        snapped_low = float(keys[low_idx])
-        snapped_high = float(keys[high_idx])
-        query = RangeQuery(snapped_low, snapped_high, query.aggregate)
-
-        first, last = self._directory.covering_range(query.low, query.high)
-        maximize = self._aggregate is Aggregate.MAX
-        best = -np.inf if maximize else np.inf
-
-        def merge(value: float) -> None:
-            nonlocal best
-            best = max(best, value) if maximize else min(best, value)
-
-        def merge_boundary(segment_index: int) -> None:
-            # Evaluate the boundary segment's polynomial at the sampled keys
-            # that fall inside the query range.  Each evaluation deviates from
-            # the true measure by at most delta (Definition 3), so the merged
-            # extreme deviates by at most delta as well (Lemma 4).  Evaluating
-            # at sampled keys rather than maximizing the continuous polynomial
-            # (Eq. 17) avoids counting overshoot between samples against the
-            # guarantee.  The in-range keys form a contiguous slice, found by
-            # binary search.
-            segment = self._segments[segment_index]
-            keys_in_segment = keys[segment.start: segment.stop]
-            lo = int(np.searchsorted(keys_in_segment, query.low, side="left"))
-            hi = int(np.searchsorted(keys_in_segment, query.high, side="right"))
-            if hi <= lo:
-                return
-            values = np.asarray(segment.polynomial(keys_in_segment[lo:hi]))
-            merge(float(values.max() if maximize else values.min()))
-
-        merge_boundary(first)
-        if last != first:
-            merge_boundary(last)
-        if last - first > 1 and self._segment_extreme_tree is not None:
-            # Fully covered middle segments: use their exact stored extremes
-            # through the aggregate tree (Section V-B).
-            covered = self._segment_extreme_tree.range_extreme(first + 1, last - 1)
-            merge(covered)
-
-        if not np.isfinite(best):
-            # Empty range (no data keys inside): match the exact baseline.
-            return float("nan")
-        return float(best)
+        low_key, high_key = float(keys[lo]), float(keys[hi])
+        first, last = self._directory.covering_range(low_key, high_key)
+        values = [
+            self._segments[first].polynomial(low_key),
+            self._segments[last].polynomial(high_key),
+        ]
+        for row in {first, last}:
+            for index, value in zip(
+                self._candidate_index[row].tolist(), self._candidate_values[row].tolist()
+            ):
+                if lo <= index <= hi:
+                    values.append(value)
+        if last - first > 1:
+            values.append(float(self._combine.reduce(self._segment_extremes[first + 1:last])))
+        return float(max(values) if self._aggregate is Aggregate.MAX else min(values))
 
     def _approximate_extreme_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Batch counterpart of :meth:`_approximate_extreme` — O(1) NumPy calls.
 
-        Snapping to sampled keys and locating the covering segments is two
-        ``searchsorted`` passes; the boundary-segment merges then come from
-        the directory's per-segment prefix/suffix extreme arrays (one gather
-        per side) and the fully covered interior from its range-extreme table
-        over the stored per-segment extremes — no per-query Python work.
+        Two ``searchsorted`` passes snap the bounds to sampled keys; one
+        ``searchsorted`` over the flattened candidates finds both the
+        covering segments and their in-range candidates; one Horner pass
+        evaluates the boundary polynomials at the snapped bounds; and the
+        range-extreme table answers the fully covered interior.
         """
         assert self._key_measure is not None
         keys = self._key_measure.keys
@@ -503,25 +508,35 @@ class PolyFitIndex(CertifiedView):
 
         lo = lo_idx[non_empty]
         hi = hi_idx[non_empty]
-        first = self._directory.locate_batch(keys[lo])
-        last = self._directory.locate_batch(keys[hi])
-        extremes = self._extremes()
-        out[non_empty] = extremes.query(lo, hi, first, last)
+        n = lo.size
+        width = self._candidate_index.shape[1]
+        # First candidate at or after lo and last at or before hi.  Every
+        # segment's first and last sample are candidates, so these land in
+        # the rows of the segments covering lo and hi.
+        positions = np.searchsorted(self._candidate_index.ravel(), np.concatenate((lo, hi + 1)))
+        c_lo, c_hi = positions[:n], positions[n:] - 1
+        first, last = c_lo // width, c_hi // width
+        ends = np.concatenate((keys[lo], keys[hi]))
+        end_values = self._directory.bank.evaluate(np.concatenate((first, last)), ends)
+        value = self._combine(end_values[:n], end_values[n:])
+        spanning = first != last
+        value[spanning] = self._combine(value[spanning], self._combine(
+            self._candidate_suffix[c_lo[spanning]], self._candidate_prefix[c_hi[spanning]]
+        ))
+        covered = last - first > 1
+        value[covered] = self._combine(
+            value[covered], self._interior.query(first[covered] + 1, last[covered] - 1)
+        )
+        same = ~spanning
+        index = self._candidate_index[first[same]]
+        value[same] = self._combine(value[same], self._combine.reduce(
+            self._candidate_values[first[same]],
+            axis=1,
+            where=(index >= lo[same, None]) & (index <= hi[same, None]),
+            initial=self._fill,
+        ))
+        out[non_empty] = value
         return out
-
-    def _extremes(self):
-        """The directory's extreme payload, built lazily on first batch use.
-
-        The prefix/suffix arrays and range-extreme tables are O(n) doubles —
-        a batch-only acceleration cache, so scalar-only users (and every
-        deserialization) never pay for it.
-        """
-        assert self._key_measure is not None
-        if self._directory.extremes is None:
-            self._directory.attach_extremes(
-                self._key_measure.keys, self._key_measure.measures, self._aggregate
-            )
-        return self._directory.extremes
 
     def exact(self, query: RangeQuery) -> float:
         """Exact answer via the fallback structures (used by tests/benches)."""

@@ -190,37 +190,6 @@ class TestSegmentDirectoryCore:
         scalar = np.array([directory.locate(k) for k in probes])
         assert np.array_equal(batch, scalar)
 
-    def test_extremes_attached_lazily_for_extremum(self, count_index, max_index, hki_small):
-        assert count_index._directory.extremes is None
-        keys, _ = hki_small
-        # First batch extreme query attaches the payload; COUNT never does.
-        max_index.estimate_batch(keys[:4], keys[4:8])
-        assert max_index._directory.extremes is not None
-        assert max_index._directory.extremes.size_in_bytes() > 0
-
-    def test_attach_extremes_rejects_cumulative(self, count_index, tweet_small):
-        keys, _ = tweet_small
-        with pytest.raises(QueryError):
-            count_index._directory.attach_extremes(
-                keys, np.ones_like(keys), Aggregate.COUNT
-            )
-
-    def test_attach_extremes_rejects_opposite_aggregate(self, max_index, hki_small):
-        keys, measures = hki_small
-        max_index.estimate_batch(keys[:4], keys[4:8])  # trigger lazy attach
-        directory = max_index._directory
-        assert directory.extremes is not None and directory.extremes.maximize
-        # Same aggregate: idempotent no-op.
-        directory.attach_extremes(
-            max_index._key_measure.keys, max_index._key_measure.measures, Aggregate.MAX
-        )
-        with pytest.raises(QueryError):
-            directory.attach_extremes(
-                max_index._key_measure.keys,
-                max_index._key_measure.measures,
-                Aggregate.MIN,
-            )
-
 
 class TestRangeExtremeTable:
     @pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])

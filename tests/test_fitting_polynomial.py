@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FittingError, QueryError
 from repro.fitting import Polynomial1D, Polynomial2D
+from repro.fitting.polynomial import PolynomialBank
 
 
 class TestPolynomial1DEvaluation:
@@ -130,6 +131,45 @@ class TestPolynomial1DExtreme:
             grid = np.linspace(low, high, 5001)
             _, maximum = poly.extreme_on(low, high, maximize=True)
             assert maximum >= np.max(poly(grid)) - 1e-6
+
+
+class TestCriticalPoints:
+    def test_matches_numpy_roots(self):
+        rng = np.random.default_rng(2)
+        for degree in range(0, 6):
+            poly = Polynomial1D(rng.normal(size=degree + 1), shift=rng.uniform(-50, 50),
+                                scale=rng.uniform(0.1, 10.0))
+            expected = np.roots((poly.coeffs[1:] * np.arange(1, degree + 1))[::-1])
+            expected = np.sort(expected.real * poly.scale + poly.shift)
+            assert np.allclose(np.sort(poly.critical_points()), expected, rtol=1e-9, atol=1e-9)
+
+    def test_trims_negligible_leading_terms(self):
+        # 1e-20 t^3 is below 1e-14 of the derivative's largest term: P' is
+        # treated as the line 2t - 1, with one root at t = 0.5.
+        poly = Polynomial1D(np.array([0.0, -1.0, 1.0, 1e-20]), shift=10.0, scale=2.0)
+        assert np.allclose(poly.critical_points(), [11.0])
+        assert Polynomial1D(np.array([3.0, 0.0, 0.0])).critical_points().size == 0
+
+    def test_bank_rows_match_single_polynomials(self):
+        rng = np.random.default_rng(3)
+        polys = [Polynomial1D(rng.normal(size=size), shift=rng.normal(), scale=1.5)
+                 for size in (1, 2, 3, 4, 4, 3)]
+        bank = PolynomialBank.from_polynomials(polys)
+        roots = bank.critical_points()
+        assert roots.shape == (len(polys), bank.width - 2)
+        for row, poly in zip(roots, polys):
+            assert np.array_equal(np.sort(row[~np.isnan(row)]), np.sort(poly.critical_points()))
+
+    def test_complex_roots_keep_real_part(self):
+        # P' = 3t^2 + 1 has roots +-i/sqrt(3): the real part 0 is kept.
+        poly = Polynomial1D(np.array([0.0, 1.0, 0.0, 1.0]), shift=4.0)
+        assert np.allclose(poly.critical_points(), [4.0, 4.0])
+
+    def test_extreme_magnitudes_stay_finite(self):
+        poly = Polynomial1D(np.array([1e300, -1e300, 1e300]), shift=0.0, scale=1e-310)
+        assert np.all(np.isfinite(poly.critical_points()))
+        huge = Polynomial1D(np.array([0.0, 1.0, 1e-13]), shift=0.0, scale=1e300)
+        assert huge.critical_points().size == 0  # the root maps past the float range
 
 
 class TestPolynomial2D:

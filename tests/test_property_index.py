@@ -1,10 +1,16 @@
 """Property-based tests for the PolyFit indexes: guarantees on random data."""
 
+import os
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Aggregate, Guarantee, PolyFitIndex, RangeQuery
 from repro.baselines import BruteForceAggregator
+from repro.config import FitConfig, IndexConfig
+from repro.index.codec import load_index, save_index
 
 
 def _dataset_strategy(min_size=10, max_size=60):
@@ -104,6 +110,131 @@ class TestMaxGuaranteeProperty:
             return
         result = index.query(RangeQuery(low, high, Aggregate.MIN))
         assert abs(result.value - exact) <= eps + 1e-6
+
+
+def _extreme_reference(index, keys, measures, low, high):
+    """Lemma 4's MAX/MIN answer by brute force: the covering segment's
+    polynomial at every in-range sample of the two boundary segments, and
+    the true extremes of the segments strictly between them."""
+    pick = max if index.aggregate is Aggregate.MAX else min
+    lo = int(np.searchsorted(keys, low, side="left"))
+    hi = int(np.searchsorted(keys, high, side="right")) - 1
+    if hi < lo:
+        return float("nan")
+    segments = index.segments
+    starts = [segment.start for segment in segments]
+    first = int(np.searchsorted(starts, lo, side="right")) - 1
+    last = int(np.searchsorted(starts, hi, side="right")) - 1
+    values = []
+    for segment in (segments[row] for row in {first, last}):
+        window = keys[max(lo, segment.start): min(hi, segment.stop - 1) + 1]
+        values += np.atleast_1d(segment.polynomial(window)).tolist()
+    for segment in segments[first + 1:last]:
+        values.append(pick(measures[segment.start: segment.stop].tolist()))
+    return float(pick(values))
+
+
+def _extreme_bounds(keys, index, rng):
+    """Query bounds of every shape the extreme path distinguishes: on-key,
+    off-key, empty (between two samples), inside one segment, and outside
+    the data on either side."""
+    span = max(keys[-1] - keys[0], 1.0)
+    lows, highs = [], []
+    for _ in range(6):
+        a, b = np.sort(rng.choice(keys, 2))
+        lows.append(a)
+        highs.append(b)
+        a, b = np.sort(rng.uniform(keys[0] - 0.1 * span, keys[-1] + 0.1 * span, 2))
+        lows.append(a)
+        highs.append(b)
+        segment = index.segments[rng.integers(index.num_segments)]
+        inside = keys[segment.start: segment.stop]
+        a, b = np.sort(rng.choice(inside, 2))
+        lows.append(a)
+        highs.append(b)
+    if keys.size > 1:
+        i = rng.integers(keys.size - 1)
+        middle = (keys[i] + keys[i + 1]) / 2
+        lows.append(middle)
+        highs.append(middle)
+    lows += [keys[-1] + 1.0, keys[0] - 2.0, keys[0] - 1.0]
+    highs += [keys[-1] + 2.0, keys[0] - 1.0, keys[-1] + 1.0]
+    return np.array(lows), np.array(highs)
+
+
+class TestExtremeAnswerRule:
+    """One MAX/MIN answer rule: the scalar oracle, the batch path and a
+    brute-force reference agree bit for bit, stay within the certified
+    bound, and survive a save/load round trip."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=_dataset_strategy(min_size=2, max_size=80),
+        degree=st.integers(min_value=1, max_value=3),
+        aggregate=st.sampled_from([Aggregate.MAX, Aggregate.MIN]),
+        delta=st.floats(min_value=0.5, max_value=300.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # Halving this key span underflows to zero; the fit used to overflow.
+    @example(data=([0.0, 5e-324], [1.0, 0.0]), degree=1, aggregate=Aggregate.MAX,
+             delta=1.0, seed=0)
+    def test_scalar_batch_reference_and_bound(self, data, degree, aggregate, delta, seed):
+        keys = np.sort(np.asarray(data[0], dtype=np.float64))
+        measures = np.asarray(data[1], dtype=np.float64)
+        config = IndexConfig(fit=FitConfig(degree=degree))
+        index = PolyFitIndex.build(keys, measures, aggregate, delta=delta, config=config)
+        lows, highs = _extreme_bounds(keys, index, np.random.default_rng(seed))
+
+        batch = index.estimate_batch(lows, highs)
+        scalar = np.array([index.estimate(RangeQuery(low, high, aggregate))
+                           for low, high in zip(lows, highs)])
+        reference = np.array([_extreme_reference(index, keys, measures, low, high)
+                              for low, high in zip(lows, highs)])
+        assert np.array_equal(batch, scalar, equal_nan=True)
+        assert np.array_equal(batch, reference, equal_nan=True)
+
+        exact = index.exact_batch(lows, highs)
+        assert np.array_equal(np.isnan(batch), np.isnan(exact))
+        answered = ~np.isnan(exact)
+        slack = 1e-9 * np.maximum(1.0, np.abs(exact[answered]))
+        assert np.all(np.abs(batch[answered] - exact[answered])
+                      <= index.certified_bound + slack)
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "index.pfbin")
+            save_index(index, path)
+            loaded = load_index(path, mmap=False)
+        assert np.array_equal(loaded.estimate_batch(lows, highs), batch, equal_nan=True)
+
+
+class TestExtremeBuildRobustness:
+    """MAX/MIN builds whose polynomials sit at the edge of float range stay
+    finite, warning-free (``pytest.ini`` turns RuntimeWarning into an
+    error) and answer the same on the scalar and batch paths."""
+
+    @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.MIN], ids=["max", "min"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "keys, measures, delta",
+        [
+            (np.array([0.0, 2.2e-313, 4.3e-306, 1.5, 2.0, 3.0, 388.0]),
+             np.array([0.0, 5.0, -3.0, 1.0, 0.0, 2.0, 7.0]), 1.0),
+            (np.linspace(0.0, 50.0, 40),
+             np.where(np.arange(40) % 3 == 0, 1e300, -1e300), 1.0),
+            (np.arange(12.0), np.array([0.0, 100.0] * 6), 0.5),
+        ],
+        ids=["subnormal-span", "pm1e300", "one-sample-segments"],
+    )
+    def test_build_and_answer(self, keys, measures, delta, degree, aggregate):
+        config = IndexConfig(fit=FitConfig(degree=degree))
+        index = PolyFitIndex.build(keys, measures, aggregate, delta=delta, config=config)
+        lows = np.concatenate((keys, keys[:1], [keys[0] - 1.0]))
+        highs = np.concatenate((keys, keys[-1:], [keys[-1] + 1.0]))
+        batch = index.estimate_batch(lows, highs)
+        scalar = [index.estimate(RangeQuery(low, high, aggregate))
+                  for low, high in zip(lows, highs)]
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch, scalar)
 
 
 class TestStructuralProperties:
