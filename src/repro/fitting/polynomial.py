@@ -107,26 +107,6 @@ class Polynomial1D:
         deriv = self.coeffs[1:] * powers / self.scale
         return Polynomial1D(deriv, self.shift, self.scale)
 
-    def extreme_on(self, low: float, high: float, maximize: bool = True) -> tuple[float, float]:
-        """Closed-form constrained extremum on ``[low, high]`` (Equation 17).
-
-        Candidate points are the interval endpoints plus the
-        :meth:`critical_points` that fall inside the interval; the best
-        candidate and its value are returned.
-
-        Returns
-        -------
-        (argbest, best):
-            The key achieving the extremum and the polynomial value there.
-        """
-        if high < low:
-            raise QueryError(f"invalid interval [{low}, {high}]")
-        candidates = [low, high]
-        candidates += [float(root) for root in self.critical_points() if low <= root <= high]
-        values = np.array([self(c) for c in candidates])
-        best_index = int(np.argmax(values)) if maximize else int(np.argmin(values))
-        return candidates[best_index], float(values[best_index])
-
     def critical_points(self) -> np.ndarray:
         """Raw keys at which the derivative may vanish.
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.exact import KeyCumulativeArray
 from ..config import Aggregate, IndexConfig
 from ..errors import DataError, GuaranteeNotSatisfiedError, NotSupportedError, QueryError
 from ..fitting.segmentation import Segment, greedy_segmentation
@@ -72,7 +71,6 @@ class PolyFitIndex(CertifiedView):
         directory: SegmentDirectory,
         cumulative: CumulativeFunction | None,
         key_measure: KeyMeasureFunction | None,
-        exact_fallback: KeyCumulativeArray | None,
         config: IndexConfig,
     ) -> None:
         self._aggregate = aggregate
@@ -81,7 +79,6 @@ class PolyFitIndex(CertifiedView):
         self._directory = directory
         self._cumulative = cumulative
         self._key_measure = key_measure
-        self._exact_fallback = exact_fallback
         self._config = config
         if key_measure is not None:
             self._build_extreme_tables(key_measure)
@@ -198,7 +195,7 @@ class PolyFitIndex(CertifiedView):
 
         The one assembly path shared by :meth:`build`, the codec loader and
         streaming compaction: it rebuilds the segment directory and the
-        exact-fallback structures (the key-cumulative array for SUM/COUNT;
+        exact-fallback structures (the cumulative function for SUM/COUNT;
         for MAX/MIN, the raw key-measure function and the per-segment
         extreme tables) from the segments and the function samples they
         were fitted to.
@@ -206,12 +203,10 @@ class PolyFitIndex(CertifiedView):
         directory = SegmentDirectory.from_segments(segments)
         cumulative = None
         key_measure = None
-        exact_fallback = None
         if aggregate.is_cumulative:
             cumulative = CumulativeFunction(
                 keys=function_keys, values=function_values, aggregate=aggregate
             )
-            exact_fallback = KeyCumulativeArray.from_cumulative(cumulative)
         else:
             key_measure = KeyMeasureFunction(
                 keys=function_keys, measures=function_values, aggregate=aggregate
@@ -223,7 +218,6 @@ class PolyFitIndex(CertifiedView):
             directory=directory,
             cumulative=cumulative,
             key_measure=key_measure,
-            exact_fallback=exact_fallback,
             config=config,
         )
 

@@ -391,7 +391,7 @@ class Coalescer:
             np.ascontiguousarray(bounds_matrix[:, i])
             for i in range(2 * host.dims)
         )
-        view = host.pin()  # on the loop: atomic w.r.t. writes
+        view = host.pin()  # one published view: never between two writes
         pinned_at = time.perf_counter()
         for _, _, enqueued, trace in batch:
             if trace is not None:

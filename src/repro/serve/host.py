@@ -1,37 +1,56 @@
-"""Engine hosting for the serving layer: epoch pinning and knob wiring.
+"""Engine hosting for the serving layer: published views, one writer, knobs.
 
 :class:`EngineHost` owns one index on behalf of the server.  It is the
-bridge between the asyncio front-end (single-threaded, mutation-ordering
-authority) and the NumPy batch engines (executed on worker threads):
+bridge between the asyncio front-end and the NumPy engines, which run on
+worker threads:
 
-* **Epoch pinning** — :meth:`pin` captures an immutable serving view of the
-  index *at one instant*: updatable indexes are pinned through their frozen
-  per-epoch :meth:`snapshot` overlay, static indexes serve themselves.  A
-  coalesced batch is evaluated entirely against the view pinned at flush
-  time, so every answer in it is consistent with exactly one epoch — writes
-  landing mid-evaluation produce a *new* overlay for the next flush and
-  never mutate a pinned one.  Epoch swaps (compactions) therefore never drop
-  or tear in-flight requests.
+* **Published view** — an updatable index is mutated only through its
+  host.  After every write the host builds the index's frozen serving view
+  (its per-epoch :meth:`snapshot` overlay, or a fleet's router) and stores
+  it, with the epoch, write version and sizes it belongs to, as one
+  immutable :class:`PinnedView` in a single attribute.  :meth:`pin` reads
+  that attribute and nothing else of the index, so a coalesced batch is
+  evaluated against exactly one published state: the state before a whole
+  write (insert plus any auto-compaction it triggered) or after it, never
+  a state in between.  Writes landing mid-evaluation publish a *new* view
+  for the next pin and never mutate a pinned one, so epoch swaps
+  (compactions) never drop or tear in-flight requests.
+* **One writer** — each updatable host owns a single-thread executor.
+  :meth:`submit_write` runs ``/insert`` and ``/compact`` there in arrival
+  order — WAL append and fsync, the apply, auto-compaction and the publish
+  — so the event loop keeps answering reads while a write or a compaction
+  runs.  The awaited result carries the view the write itself published,
+  so an acknowledgement follows its fsync and its publish (read your
+  writes).  Queued writes are bounded by the caller's ``max_queued``.
 * **Knob wiring** — ``cache_size`` enables the version-keyed
-  :class:`~repro.queries.cache.ResultCache` (keyed on the *live* write
-  version captured at pin time, so inserts and compactions invalidate
-  cached answers), and ``num_shards`` fans large batches out over a thread
-  pool through :class:`~repro.queries.sharding.ShardedQueryEngine`.
+  :class:`~repro.queries.cache.ResultCache` (keyed on the write version of
+  the pinned view, so inserts and compactions invalidate cached answers),
+  and ``num_shards`` fans large batches out over a thread pool through
+  :class:`~repro.queries.sharding.ShardedQueryEngine`.
 
-Thread-safety contract: :meth:`pin`, :meth:`insert` and :meth:`compact` must
-be called from the event-loop thread (they observe/advance the mutation
-order); :meth:`execute` is safe to call from worker threads because it only
-touches the frozen view and the (internally locked) result cache.
+Thread-safety contract: :meth:`pin`, :meth:`submit_write` and
+:meth:`drain_writes` run on the event-loop thread; the sharded wrappers
+are created and retired there.  :meth:`insert` and :meth:`compact` may be
+called from any thread: they serialize with queued writes on the host's
+write lock and publish before they return.  :meth:`execute` is safe on
+worker threads because it only touches the frozen view and the
+(internally locked) result cache.  :meth:`info` and :meth:`health_info`
+read an updatable index's identity from the published view, never from
+the index the writer is mutating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import asyncio
+import contextvars
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping
 
 import numpy as np
 
-from ..errors import NotSupportedError, QueryError
+from ..errors import NotSupportedError, QueryError, ServerOverloadedError
 from ..obs.metrics import counter_family, gauge_family
 from ..obs.tracing import Trace
 from ..queries.cache import CacheInfo, ResultCache
@@ -62,7 +81,7 @@ class HostMetrics:
         )
         self._fam_version = gauge_family(
             "repro_host_write_version",
-            "Live write version captured at the most recent pin.",
+            "Write version of the most recently pinned (published) view.",
         )
         self.pins = self._fam_pins.labels()
         self.epoch_swaps = self._fam_swaps.labels()
@@ -78,17 +97,21 @@ class PinnedView:
     """One immutable serving view: the pinned engine plus its identity.
 
     ``serving`` exposes ``query_batch``; ``version`` is the owning index's
-    live write counter at pin time (the cache key) and ``epoch`` its flush
-    epoch (what responses report).  For static indexes both are 0.
+    write counter when the view was published (the cache key) and
+    ``epoch`` its flush epoch (what responses report).  ``sizes`` holds
+    the published state's ``buffer_size`` and, where the index has them,
+    ``num_segments`` and ``num_partitions``.  For static indexes the
+    counters are 0 and ``sizes`` is empty.
     """
 
     serving: Any
     epoch: int
     version: int
+    sizes: Mapping[str, int] = field(default_factory=dict)
 
 
 class EngineHost:
-    """Hosts one index for the server: pinning, caching, knob wiring.
+    """Hosts one index for the server: pinning, the writer, caching, knobs.
 
     Parameters
     ----------
@@ -96,8 +119,9 @@ class EngineHost:
         Any index exposing ``query_batch`` (static or updatable, 1-D or
         2-D); its ``dims`` attribute (1 when absent) fixes the bounds
         arity.  Updatable indexes (anything with a callable ``snapshot``)
-        additionally get the epoch-pinned read path and the write
-        endpoints.
+        additionally get the published-view read path, a writer thread and
+        the write endpoints; once hosted, such an index is mutated only
+        through this host.
     name:
         Label used in stats and error messages.
     cache_size:
@@ -143,8 +167,20 @@ class EngineHost:
         # (pinned base object -> sharded wrapper); at most two generations
         # are kept alive so a flush evaluating on the old view can finish.
         self._sharded: list[tuple[object, Any]] = []
-        if not self._updatable and self._num_shards > 1:
-            self._sharded_for(index)
+        # The single writer: one thread runs queued writes in arrival
+        # order; the lock also orders direct insert()/compact() calls.
+        self._write_lock = threading.Lock()
+        self._writer: ThreadPoolExecutor | None = None
+        self._queued_writes = 0
+        self._accepting_writes = self._updatable
+        if self._updatable:
+            self._writer = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=f"repro-writer-{name}"
+            )
+            self._publish()
+        else:
+            serving = self._sharded_for(index) if self._num_shards > 1 else index
+            self._published = PinnedView(serving=serving, epoch=0, version=0)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -179,29 +215,31 @@ class EngineHost:
         if self._cache is not None:
             self._cache.clear()
 
+    def _identity(self) -> dict:
+        """Epoch, version and sizes: published for an updatable index,
+        read off a static one (which never changes)."""
+        if self._updatable:
+            view = self._published
+            return {"epoch": view.epoch, "version": view.version, **view.sizes}
+        index = self._index
+        return {
+            "epoch": int(getattr(index, "epoch", 0)),
+            "version": int(getattr(index, "version", 0)),
+            **_shape(index),
+        }
+
     def info(self) -> dict:
         """JSON-friendly description for the server's ``/stats`` endpoint."""
-        index = self._index
         aggregate = self.aggregate
-        payload = {
+        return {
             "name": self.name,
             "aggregate": getattr(aggregate, "value", None),
             "dims": self._dims,
             "updatable": self._updatable,
-            "epoch": int(getattr(index, "epoch", 0)),
-            "version": int(getattr(index, "version", 0)),
             "num_shards": self._num_shards,
             "cache": None if self._cache is None else self._cache.info().as_dict(),
+            **self._identity(),
         }
-        if self._updatable:
-            payload["buffer_size"] = int(getattr(index, "buffer_size", 0))
-        num_segments = getattr(index, "num_segments", None)
-        if num_segments is not None:
-            payload["num_segments"] = int(num_segments)
-        num_partitions = getattr(index, "num_partitions", None)
-        if num_partitions is not None:
-            payload["num_partitions"] = int(num_partitions)
-        return payload
 
     def health_info(self) -> dict:
         """Liveness-relevant identity for the server's ``/healthz`` endpoint.
@@ -211,14 +249,11 @@ class EngineHost:
         appended since the last checkpoint seal — what a restart would
         replay right now.
         """
-        index = self._index
-        payload: dict = {
-            "epoch": int(getattr(index, "epoch", 0)),
-            "version": int(getattr(index, "version", 0)),
-        }
-        if self._updatable:
-            payload["buffer_size"] = int(getattr(index, "buffer_size", 0))
-        wal = getattr(index, "wal", None)
+        identity = self._identity()
+        payload: dict = {"epoch": identity["epoch"], "version": identity["version"]}
+        if "buffer_size" in identity:
+            payload["buffer_size"] = identity["buffer_size"]
+        wal = getattr(self._index, "wal", None)
         lag = getattr(wal, "records_since_seal", None)
         if lag is not None:
             payload["wal_lag"] = int(lag)
@@ -247,28 +282,24 @@ class EngineHost:
     # ------------------------------------------------------------------ #
 
     def pin(self) -> PinnedView:
-        """Capture the current epoch as an immutable serving view.
+        """The most recently published serving view (loop thread).
 
-        Loop-thread only: capturing ``(snapshot, version)`` here, between
-        mutations, is what makes every coalesced batch single-epoch.
+        One attribute read: every batch evaluated against the returned
+        view sees exactly one published state.
         """
         self._obs.pins.inc()
+        view = self._published
         if not self._updatable:
-            serving = self._sharded[-1][1] if self._sharded else self._index
-            return PinnedView(serving=serving, epoch=0, version=0)
-        overlay = self._index.snapshot()  # type: ignore[attr-defined]
-        version = int(getattr(self._index, "version", 0))
-        epoch = int(getattr(overlay, "epoch", getattr(self._index, "epoch", 0)))
-        if epoch != self._last_epoch:
+            return view
+        if view.epoch != self._last_epoch:
             if self._last_epoch is not None:
                 self._obs.epoch_swaps.inc()
-            self._last_epoch = epoch
-        self._obs.epoch.set(epoch)
-        self._obs.version.set(version)
-        serving: Any = overlay
+            self._last_epoch = view.epoch
+        self._obs.epoch.set(view.epoch)
+        self._obs.version.set(view.version)
         if self._num_shards > 1:
-            serving = self._sharded_for(overlay)
-        return PinnedView(serving=serving, epoch=epoch, version=version)
+            return replace(view, serving=self._sharded_for(view.serving))
+        return view
 
     def execute(
         self,
@@ -326,27 +357,105 @@ class EngineHost:
             return serving.query_batch(*bounds, guarantee=guarantee)
 
     # ------------------------------------------------------------------ #
-    # Write path (loop thread)
+    # Write path (the single writer)
     # ------------------------------------------------------------------ #
 
     def insert(self, *columns: np.ndarray, measures: np.ndarray | None = None) -> int:
-        """Insert records into an updatable index (loop-thread only).
+        """Insert records into an updatable index and publish the result.
 
         ``columns`` are the index's coordinate columns: ``keys`` for a 1-D
-        host, ``xs, ys`` for a 2-D one.
+        host, ``xs, ys`` for a 2-D one.  Runs on the calling thread,
+        serialized with queued writes; the server uses :meth:`submit_write`.
         """
         self._require_updatable("insert")
-        return int(self._index.insert(*columns, measures=measures))  # type: ignore[attr-defined]
+        return self._apply("insert", columns, measures)[0]
 
     def compact(self) -> bool:
-        """Fold the delta buffer into the base (loop-thread only).
+        """Fold the delta buffer into the base and publish the new epoch.
 
-        The swap is publication-only from the readers' perspective: views
-        pinned before the compaction keep serving their frozen overlay, the
-        next :meth:`pin` picks up the new epoch.
+        Views pinned before the compaction keep serving their frozen
+        overlay; the next :meth:`pin` picks up the new epoch.
         """
         self._require_updatable("compact")
-        return bool(self._index.compact())  # type: ignore[attr-defined]
+        return self._apply("compact")[0]
+
+    async def submit_write(
+        self,
+        op: str,
+        *columns: np.ndarray,
+        measures: np.ndarray | None = None,
+        max_queued: int | None = None,
+    ) -> tuple[Any, PinnedView]:
+        """Run one ``"insert"`` or ``"compact"`` on the writer thread.
+
+        Returns the write's result (records inserted, or whether the
+        compaction changed anything) and the view it published.  Writes run
+        in submission order, each inside a copy of the submitter's context
+        (tracing stays parented to the request).  With ``max_queued`` set, a
+        write that would find that many already queued fails fast with
+        :class:`~repro.errors.ServerOverloadedError`, as does any write
+        after :meth:`drain_writes`.
+        """
+        if op not in ("insert", "compact"):
+            raise QueryError(f"unknown write {op!r}; expected 'insert' or 'compact'")
+        self._require_updatable(op)
+        if not self._accepting_writes:
+            raise ServerOverloadedError(f"index {self.name!r} is shutting down")
+        if max_queued is not None and self._queued_writes >= max_queued:
+            raise ServerOverloadedError(
+                f"admission control: {self._queued_writes} writes already queued "
+                f"on index {self.name!r} (max_pending={max_queued})"
+            )
+        loop = asyncio.get_running_loop()
+        context = contextvars.copy_context()
+        self._queued_writes += 1
+        try:
+            return await loop.run_in_executor(
+                self._writer, context.run, self._apply, op, columns, measures
+            )
+        finally:
+            self._queued_writes -= 1
+
+    async def drain_writes(self) -> None:
+        """Refuse new writes, then wait until every queued one has published."""
+        self._accepting_writes = False
+        if self._writer is not None:
+            # A barrier: it runs after every write queued before it.
+            await asyncio.get_running_loop().run_in_executor(self._writer, lambda: None)
+
+    def _apply(
+        self,
+        op: str,
+        columns: tuple = (),
+        measures: np.ndarray | None = None,
+    ) -> tuple[Any, PinnedView]:
+        """Mutate the index, then publish; returns (result, published view)."""
+        index: Any = self._index
+        with self._write_lock:
+            try:
+                if op == "insert":
+                    result = int(index.insert(*columns, measures=measures))
+                else:
+                    result = bool(index.compact())
+            finally:
+                # Publish even when the write failed part-way (say, an
+                # auto-compaction after the insert applied): the view must
+                # match the index.
+                view = self._publish()
+        return result, view
+
+    def _publish(self) -> PinnedView:
+        """Build the serving view of the index as it is now and store it."""
+        index: Any = self._index
+        serving = index.snapshot()
+        view = PinnedView(
+            serving=serving,
+            epoch=int(getattr(serving, "epoch", getattr(index, "epoch", 0))),
+            version=int(getattr(index, "version", 0)),
+            sizes={"buffer_size": int(getattr(index, "buffer_size", 0)), **_shape(index)},
+        )
+        self._published = view
+        return view
 
     def _require_updatable(self, op: str) -> None:
         if not self._updatable:
@@ -377,8 +486,13 @@ class EngineHost:
         return engine
 
     def close(self) -> None:
-        """Release any sharded worker pools and close the hosted index
-        (an updatable index syncs and closes its WAL); idempotent."""
+        """Finish queued writes, release any sharded worker pools and close
+        the hosted index (an updatable index syncs and closes its WAL);
+        idempotent."""
+        self._accepting_writes = False
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.shutdown(wait=True)
         while self._sharded:
             _, engine = self._sharded.pop()
             engine.close()
@@ -391,3 +505,13 @@ class EngineHost:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _shape(index: object) -> dict:
+    """The index's ``num_segments`` and ``num_partitions``, where it has them."""
+    shape = {}
+    for name in ("num_segments", "num_partitions"):
+        value = getattr(index, name, None)
+        if value is not None:
+            shape[name] = int(value)
+    return shape

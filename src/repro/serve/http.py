@@ -38,7 +38,13 @@ Routes
     wrong — they return 400 with the library's NotSupported message).
     ``/insert`` takes ``{"keys": [..]}`` on a 1-D host and
     ``{"xs": [..], "ys": [..]}`` on a 2-D one, each with optional
-    ``"measures"``; a missing or foreign column is a 400.
+    ``"measures"``; a missing or foreign column is a 400.  Writes run on
+    the host's writer thread in arrival order (see
+    :class:`~repro.serve.host.EngineHost`), so reads keep flowing during an
+    fsync or a compaction; a write is acknowledged, with the epoch, version
+    and buffer size it published, only once it is durable and visible.
+    At most ``max_pending`` writes queue per host; beyond that a write gets
+    a 503.
 
 Status codes: 400 malformed request, 404 unknown route/index, 503 admission
 control / shutdown / expired deadline, 500 engine fault.  A query answered
@@ -64,7 +70,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ..errors import NotSupportedError, QueryError, ReproError, ServerOverloadedError
+from ..errors import QueryError, ReproError, ServerOverloadedError
 from ..obs.metrics import (
     EXPOSITION_CONTENT_TYPE,
     MetricsRegistry,
@@ -289,6 +295,7 @@ class ServeServer:
             tracer=self.tracer,
         )
         self._hosts = self.coalescer.hosts
+        self._max_pending = int(max_pending)
         self._server: asyncio.AbstractServer | None = None
         self._started_at = time.monotonic()
         self.requests_served = 0
@@ -330,13 +337,18 @@ class ServeServer:
         self._server = await asyncio.start_server(self._handle_connection, host, port)
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, then drain in-flight requests."""
+        """Graceful shutdown: stop accepting, then drain in-flight requests.
+
+        Every write already queued is applied and acknowledged before its
+        host closes the index (and with it the WAL).
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.stop()
         for engine_host in self._hosts.values():
+            await engine_host.drain_writes()
             engine_host.close()
 
     async def serve_forever(self, host: str = "127.0.0.1", port: int = 8080) -> None:
@@ -514,8 +526,8 @@ class ServeServer:
             if path == "/query_batch":
                 return await self._handle_query_batch(host, payload)
             if path == "/insert":
-                return self._handle_insert(host, payload)
-            return self._handle_compact(host)
+                return await self._handle_insert(host, payload)
+            return await self._handle_compact(host)
         except ServerOverloadedError as error:
             retry_after = getattr(error, "retry_after_s", None)
             if retry_after is None:
@@ -601,24 +613,18 @@ class ServeServer:
         }
         return (206 if partial else 200), body
 
-    def _handle_insert(self, host: EngineHost, payload: dict) -> tuple[int, dict]:
+    async def _handle_insert(self, host: EngineHost, payload: dict) -> tuple[int, dict]:
         columns, measures = _insert_columns(payload, host.dims)
-        inserted = host.insert(*columns, measures=measures)
+        inserted, view = await host.submit_write(
+            "insert", *columns, measures=measures, max_queued=self._max_pending
+        )
         return 200, {
             "inserted": inserted,
-            "epoch": int(getattr(host.index, "epoch", 0)),
-            "version": int(getattr(host.index, "version", 0)),
-            "buffer_size": int(getattr(host.index, "buffer_size", 0)),
+            "epoch": view.epoch,
+            "version": view.version,
+            "buffer_size": view.sizes["buffer_size"],
         }
 
-    def _handle_compact(self, host: EngineHost) -> tuple[int, dict]:
-        if not host.updatable:
-            raise NotSupportedError(
-                f"index {host.name!r} is immutable; compact requires an updatable index"
-            )
-        changed = host.compact()
-        return 200, {
-            "compacted": changed,
-            "epoch": int(getattr(host.index, "epoch", 0)),
-            "version": int(getattr(host.index, "version", 0)),
-        }
+    async def _handle_compact(self, host: EngineHost) -> tuple[int, dict]:
+        changed, view = await host.submit_write("compact", max_queued=self._max_pending)
+        return 200, {"compacted": changed, "epoch": view.epoch, "version": view.version}

@@ -113,8 +113,12 @@ class TestPolynomialProperties:
         high = low + width
         grid = np.linspace(low, high, 2001)
         sampled = np.asarray(poly(grid))
-        _, maximum = poly.extreme_on(low, high, maximize=True)
-        _, minimum = poly.extreme_on(low, high, maximize=False)
+        # Equation 17's candidate set: the endpoints and the in-range
+        # critical points hold both extremes.
+        candidates = [low, high]
+        candidates += [float(r) for r in poly.critical_points() if low <= r <= high]
+        values = np.asarray(poly(np.asarray(candidates)))
+        maximum, minimum = values.max(), values.min()
         tolerance = 1e-6 * max(1.0, np.max(np.abs(sampled)))
         assert maximum >= sampled.max() - tolerance
         assert minimum <= sampled.min() + tolerance

@@ -366,9 +366,9 @@ class TestEpochConsistency:
     def test_every_response_from_exactly_one_version(self, keys):
         """Each answer must equal the full answer of *its* pinned version.
 
-        The probe range is fixed; between submissions the writer task
-        inserts keys inside it (each insert bumps the live version) and
-        compacts periodically.  A torn read — a batch mixing two buffer
+        The probe range is fixed; between submissions the test inserts keys
+        inside it through the host's writer (each insert bumps the live
+        version) and compacts periodically.  A torn read — a batch mixing two buffer
         states — would produce a value matching no version's expected
         count.
         """
@@ -396,12 +396,12 @@ class TestEpochConsistency:
                 )
                 await asyncio.sleep(0)  # let a flush interleave
                 fresh = rng.uniform(low, high, size=7)
-                updatable.insert(fresh)
+                _, view = await host.submit_write("insert", fresh)
                 inserted += fresh.size
-                expected[updatable.version] = base_count + inserted
+                expected[view.version] = base_count + inserted
                 if round_number % 10 == 9:
-                    updatable.compact()
-                    expected[updatable.version] = base_count + inserted
+                    _, view = await host.submit_write("compact")
+                    expected[view.version] = base_count + inserted
             answers = await asyncio.gather(*futures)
             await coalescer.stop()
             return answers
@@ -429,8 +429,8 @@ class TestEpochConsistency:
             host = EngineHost(updatable)
             coalescer = Coalescer(host)
             futures = [coalescer.submit((low, high), exact) for _ in range(20)]
-            updatable.insert(np.full(13, 500.0))
-            updatable.compact()  # epoch swap while the batch is queued
+            host.insert(np.full(13, 500.0))
+            host.compact()  # epoch swap while the batch is queued
             futures += [coalescer.submit((low, high), exact) for _ in range(20)]
             answers = await asyncio.gather(*futures)
             await coalescer.stop()
@@ -482,7 +482,7 @@ class TestEngineHost:
         host = EngineHost(updatable, cache_size=4)
         bounds = (np.array([200.0]), np.array([800.0]))
         before = host.execute(host.pin(), bounds)
-        updatable.insert(np.array([500.0]))
+        host.insert(np.array([500.0]))
         after = host.execute(host.pin(), bounds)
         assert after.values[0] == before.values[0] + 1.0
         assert host.cache_info().misses == 2  # version bump = new key
@@ -502,7 +502,7 @@ class TestEngineHost:
         lows, highs = make_bounds(50, seed=13)
         with EngineHost(updatable, num_shards=2) as host:
             first = host.execute(host.pin(), (lows, highs))
-            updatable.insert(np.array([500.0]))
+            host.insert(np.array([500.0]))
             second = host.execute(host.pin(), (lows, highs))
         direct = updatable.query_batch(lows, highs)
         assert np.array_equal(second.values, direct.values)
